@@ -270,10 +270,19 @@ def cmd_reconstruct(settings: dict) -> int:
         max_iter=int(settings["max_iter"]),
         spec=make_inner_spec(settings),
         sigma_floor=float(settings["sigma_floor"]),
-        rng_seed=int(info["seed"]),
         safeguard=_parse_bool(settings["safeguard"]),
     )
-    sigma, log = run_landweber(config, noisy, float(info["delta_abs"]), ms, truth)
+    delta_abs = float(info["delta_abs"])
+    sigma, log = run_landweber(config, noisy, delta_abs, ms, truth)
+    discrepancy_reached = log.stop_reason == "discrepancy"
+    if delta_abs > 0.0 and not discrepancy_reached:
+        print(
+            f"warning: noisy run stopped by {log.stop_reason} after "
+            f"{log.num_iterations} iterations without reaching the discrepancy "
+            f"(residual {log.residuals[-1]:.6g} > tau * delta_abs "
+            f"{config.tau * delta_abs:.6g})",
+            file=sys.stderr,
+        )
 
     fileio.write_field_csv(os.path.join(out, "reconstruction.csv"), sigma)
     fileio.write_field_vtk(
@@ -285,10 +294,11 @@ def cmd_reconstruct(settings: dict) -> int:
         "reconstruct_summary",
         {
             "stop_reason": log.stop_reason,
+            "discrepancy_reached": str(discrepancy_reached).lower(),
             "iterations": log.num_iterations,
             "final_residual": float(log.residuals[-1]),
             "final_rel_error": float(log.rel_errors[-1]),
-            "delta_abs": float(info["delta_abs"]),
+            "delta_abs": delta_abs,
             "tau": config.tau,
         },
     )

@@ -4,9 +4,10 @@ Conventions used throughout the package:
 
 * conductivity is piecewise linear in the vertices and enters element
   integrals through its per-triangle vertex average;
-* pure-Neumann systems are closed with a single Lagrange multiplier
-  enforcing the zero-mean constraint (bordered symmetric system, direct
-  sparse factorization);
+* pure-Neumann systems are closed by pinning one vertex: the reduced
+  stiffness matrix is symmetric positive definite and factorized once;
+  loads are projected onto the compatible ones and solutions shifted to
+  zero mean, which reproduces the Lagrange-multiplier (bordered) closure;
 * the second-order block of the weighted Sobolev inner product uses the
   lumped-mass discrete Laplacian surrogate, which is the standard
   spectrally equivalent stand-in for P1 elements.
@@ -186,21 +187,34 @@ def assemble_boundary_load(
 class ZeroMeanSolver:
     """Direct solver for K u = b subject to int u = 0.
 
-    Bordered symmetric system with the weighted mean as the constraint
-    row; factorized once, then reused for many right-hand sides (pass a
-    2D array to solve several simultaneously).
+    K is the stiffness matrix of a pure-Neumann problem: symmetric
+    positive semidefinite with the constants as kernel. Vertex 0 is
+    pinned, and the reduced matrix K[1:, 1:], which is symmetric positive
+    definite, is factorized once with a symmetric fill-reducing ordering
+    and no pivoting. Each load b is made compatible by removing
+    lam * mean_row with lam = sum(b) / sum(mean_row), where mean_row holds
+    the integrals of the hat functions; the pinned solution is then
+    shifted to zero weighted mean. This gives the solution (u, lam) of
+    the bordered system K u + lam * mean_row = b, mean_row . u = 0.
+
+    The factorization is reused for many right-hand sides (pass a 2D
+    array to solve several simultaneously). Every solve checks its
+    residual and raises ``SolverError`` when it exceeds 1e-10 relative
+    to the load.
     """
 
-    def __init__(self, K: sparse.spmatrix, mesh: Mesh, mass: sparse.spmatrix | None = None):
-        m = assemble_mass(mesh) if mass is None else mass
-        self.mean_row = np.asarray(m.sum(axis=1)).ravel()
-        n = K.shape[0]
-        bordered = sparse.bmat(
-            [[K, self.mean_row[:, None]], [self.mean_row[None, :], None]],
-            format="csc",
+    def __init__(self, K: sparse.spmatrix, mesh: Mesh):
+        self.K = sparse.csr_matrix(K)
+        # Row sums of the P1 mass matrix: int phi_i = |patch_i| / 3.
+        self.mean_row = mesh.vertex_patch_areas / 3.0
+        self._total = float(self.mean_row.sum())
+        self._n = self.K.shape[0]
+        self._lu = splu(
+            self.K[1:, 1:].tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options=dict(SymmetricMode=True),
         )
-        self._lu = splu(bordered)
-        self._n = n
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve for one RHS (V,) or a stack of them (V, k)."""
@@ -208,15 +222,31 @@ class ZeroMeanSolver:
         return u
 
     def solve_with_multiplier(self, b: np.ndarray):
+        """Return (u, lam) with K u + lam * mean_row = b and mean_row . u = 0."""
         b = np.asarray(b, dtype=np.float64)
         single = b.ndim == 1
         cols = b.reshape(self._n, -1)
-        rhs = np.vstack([cols, np.zeros((1, cols.shape[1]))])
-        x = self._lu.solve(rhs)
-        u, lam = x[: self._n], x[self._n]
+        lam = cols.sum(axis=0) / self._total
+        u = np.zeros_like(cols)
+        u[1:] = self._lu.solve(cols[1:] - self.mean_row[1:, None] * lam)
+        u -= (self.mean_row @ u) / self._total
+        self._check_residual(u, lam, cols)
         if single:
             return u[:, 0], float(lam[0])
         return u, lam
+
+    def _check_residual(self, u: np.ndarray, lam: np.ndarray, cols: np.ndarray):
+        resid = np.linalg.norm(
+            self.K @ u + self.mean_row[:, None] * lam - cols, axis=0
+        )
+        bnorm = np.linalg.norm(cols, axis=0)
+        bad = (bnorm > 0.0) & (resid > 1e-10 * bnorm)
+        if np.any(bad):
+            j = int(np.argmax(bad))
+            raise SolverError(
+                f"Neumann solve residual {resid[j]:.3e} exceeds "
+                f"1e-10 * |b| = {1e-10 * bnorm[j]:.3e} (column {j})"
+            )
 
 
 def solve_neumann_zero_mean(
@@ -224,18 +254,10 @@ def solve_neumann_zero_mean(
 ) -> NodalField:
     """Solve the pure-Neumann system with the zero-mean constraint.
 
-    Raises ``SolverError`` if the residual of the bordered system exceeds
-    1e-10 relative to the load.
+    Raises ``SolverError`` if the residual exceeds 1e-10 relative to the
+    load.
     """
-    solver = ZeroMeanSolver(K, mesh)
-    u, lam = solver.solve_with_multiplier(b)
-    resid = np.linalg.norm(K @ u + lam * solver.mean_row - b)
-    bnorm = np.linalg.norm(b)
-    if bnorm > 0.0 and resid > 1e-10 * bnorm:
-        raise SolverError(
-            f"Neumann solve residual {resid:.3e} exceeds 1e-10 * |b| = {1e-10 * bnorm:.3e}"
-        )
-    return NodalField(mesh, u)
+    return NodalField(mesh, ZeroMeanSolver(K, mesh).solve(b))
 
 
 def gram_matrix(mesh: Mesh, spec: InnerProductSpec) -> sparse.csr_matrix:

@@ -14,7 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fem import DEFAULT_SIGMA_FLOOR, GramSolver, InnerProductSpec, NodalField, l2_norm
+from .fem import (
+    DEFAULT_SIGMA_FLOOR,
+    GramSolver,
+    InnerProductSpec,
+    NodalField,
+    assemble_mass,
+    l2_norm,
+)
 from .forward import (
     MeasurementSet,
     measurement_loads,
@@ -38,7 +45,6 @@ class ReconstructionConfig:
     max_iter: int = 1000
     spec: InnerProductSpec = field(default_factory=InnerProductSpec.h2_beta)
     sigma_floor: float = DEFAULT_SIGMA_FLOOR
-    rng_seed: int = 0
     safeguard: bool = True
     max_halvings: int = 20
 
@@ -92,12 +98,12 @@ def add_noise(data: list[NodalField], delta_rel: float, seed: int):
     mesh = data[0].mesh
     if delta_rel == 0.0:
         return [NodalField(mesh, f.values.copy()) for f in data], 0.0
-    gram = GramSolver(mesh, InnerProductSpec.l2())
+    mass = assemble_mass(mesh)
     values = stack_fields(data)
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(values.shape)
-    data_scale = np.sqrt(sum(l2_norm(gram.mass, row) ** 2 for row in values))
-    noise_scale = np.sqrt(sum(l2_norm(gram.mass, row) ** 2 for row in noise))
+    data_scale = np.sqrt(sum(l2_norm(mass, row) ** 2 for row in values))
+    noise_scale = np.sqrt(sum(l2_norm(mass, row) ** 2 for row in noise))
     delta_abs = delta_rel * data_scale
     noisy = values + delta_abs * noise / noise_scale
     return unstack_fields(mesh, noisy), float(delta_abs)

@@ -192,6 +192,7 @@ def test_reconstruct_command(sim_dir, tmp_path):
     summary = fileio.read_key_values(out / "reconstruct_summary.txt", "reconstruct_summary")
     info = fileio.read_key_values(sim_dir / "data_info.txt", "data")
     assert summary["stop_reason"] == "discrepancy"
+    assert summary["discrepancy_reached"] == "true"
     assert float(summary["final_residual"]) <= float(info["delta_abs"])
     k, res, om, err = fileio.read_iteration_log(out / "iterations.csv")
     assert np.all(np.diff(res) <= 1e-14)
@@ -199,7 +200,7 @@ def test_reconstruct_command(sim_dir, tmp_path):
     assert (out / "reconstruction.vtk").exists()
 
 
-def test_reconstruct_noise_free_reduces_error(tmp_path):
+def test_reconstruct_noise_free_reduces_error(tmp_path, sim_dir, capsys):
     sim = tmp_path / "nfsim"
     code = main(
         [
@@ -222,8 +223,23 @@ def test_reconstruct_noise_free_reduces_error(tmp_path):
     assert code == 0
     summary = fileio.read_key_values(out / "reconstruct_summary.txt", "reconstruct_summary")
     assert summary["stop_reason"] == "max_iter"
+    assert summary["discrepancy_reached"] == "false"
     _, _, _, err = fileio.read_iteration_log(out / "iterations.csv")
     assert err[-1] < err[0]
+    # noise-free: no discrepancy was asked for, so no warning
+    assert "warning" not in capsys.readouterr().err
+
+    # a noisy run cut off by max_iter before the discrepancy says so
+    noisy_out = tmp_path / "maxrec"
+    code = run_cli("reconstruct", "--data", sim_dir, "--out", noisy_out, "--max-iter", 2)
+    assert code == 0
+    summary = fileio.read_key_values(
+        noisy_out / "reconstruct_summary.txt", "reconstruct_summary"
+    )
+    assert summary["stop_reason"] == "max_iter"
+    assert summary["discrepancy_reached"] == "false"
+    err_text = capsys.readouterr().err
+    assert "warning: noisy run stopped by max_iter" in err_text
 
 
 def test_reconstruct_requires_data(tmp_path, capsys):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from aet2d.fem import (
@@ -9,6 +10,7 @@ from aet2d.fem import (
     GramSolver,
     InnerProductSpec,
     NodalField,
+    SolverError,
     ZeroMeanSolver,
     assemble_boundary_load,
     assemble_mass,
@@ -151,6 +153,69 @@ def test_neumann_solution_scales_with_sigma(mesh500):
     u1 = solve_neumann_zero_mean(k1, b, mesh500).values
     u3 = solve_neumann_zero_mean(k3, b, mesh500).values
     assert np.allclose(u3, u1 / 3.0, rtol=1e-12, atol=1e-14)
+
+
+def _bordered_reference(k, mesh, b):
+    """Lagrange-multiplier closure: LU of [[K, m], [m^T, 0]] with m_i = int phi_i."""
+    m = np.asarray(assemble_mass(mesh).sum(axis=1)).ravel()
+    lu = splu(sparse.bmat([[k, m[:, None]], [m[None, :], None]], format="csc"))
+    cols = b.reshape(k.shape[0], -1)
+    x = lu.solve(np.vstack([cols, np.zeros((1, cols.shape[1]))]))
+    return x[:-1].reshape(b.shape), x[-1]
+
+
+def _assert_matches_bordered(solver, k, mesh, b):
+    u, lam = solver.solve_with_multiplier(b)
+    u_ref, lam_ref = _bordered_reference(k, mesh, b)
+    cols = b.reshape(k.shape[0], -1)
+    assert np.max(np.abs(u - u_ref)) <= 1e-12 * np.max(np.abs(u_ref))
+    # lam is measured against the flux scale sum|b| / |Omega|; it vanishes
+    # for compatible loads, where a plain relative error is meaningless.
+    lam_scale = np.abs(cols).sum(axis=0) / mesh.total_area
+    assert np.all(np.abs(np.atleast_1d(lam) - lam_ref) <= 1e-12 * lam_scale)
+    return lam
+
+
+def test_zero_mean_solver_matches_bordered_closure(mesh500):
+    k = assemble_stiffness(
+        mesh500, NodalField(mesh500, 1.0 + mesh500.vertices[:, 0] ** 2)
+    )
+    solver = ZeroMeanSolver(k, mesh500)
+    one = assemble_boundary_load(mesh500, np.sin, FULL)
+    _assert_matches_bordered(solver, k, mesh500, one)
+    stack = np.column_stack(
+        [assemble_boundary_load(mesh500, f, FULL) for f in (np.sin, np.cos, np.sin)]
+    )
+    stack[:, 2] *= -2.5
+    _assert_matches_bordered(solver, k, mesh500, stack)
+    with pytest.warns(CompatibilityWarning):
+        flux = assemble_boundary_load(
+            mesh500, lambda th: np.ones_like(th), BoundaryArc(math.pi / 2)
+        )
+    lam = _assert_matches_bordered(solver, k, mesh500, flux)
+    assert lam == pytest.approx(flux.sum() / mesh500.total_area, rel=1e-12)
+
+
+def test_zero_mean_solver_refactorization_is_bitwise(mesh500):
+    k = assemble_stiffness(mesh500, NodalField.constant(mesh500, 1.7))
+    b = np.column_stack(
+        [assemble_boundary_load(mesh500, f, FULL) for f in (np.sin, np.cos)]
+    )
+    u1, lam1 = ZeroMeanSolver(k, mesh500).solve_with_multiplier(b)
+    u2, lam2 = ZeroMeanSolver(k.copy(), mesh500).solve_with_multiplier(b)
+    assert np.array_equal(u1, u2)
+    assert np.array_equal(lam1, lam2)
+
+
+def test_zero_mean_solver_rejects_matrix_without_constant_kernel(mesh500):
+    k = assemble_stiffness(mesh500, NodalField.constant(mesh500, 1.0))
+    shifted = (k + 1e-3 * sparse.identity(mesh500.num_vertices)).tocsr()
+    b = assemble_boundary_load(mesh500, np.sin, FULL)
+    solver = ZeroMeanSolver(shifted, mesh500)
+    with pytest.raises(SolverError, match="residual"):
+        solver.solve(b)
+    with pytest.raises(SolverError):
+        solve_neumann_zero_mean(shifted, b, mesh500)
 
 
 def test_gram_l2_is_mass(mesh500):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from aet2d.fem import InnerProductSpec, NodalField
+from aet2d.fem import GramSolver, InnerProductSpec, NodalField, l2_norm
 from aet2d.forward import MeasurementSet, simulate_data, solve_measurement_set, stack_fields
 from aet2d.inversion import (
     IterationLog,
@@ -61,6 +61,24 @@ def test_add_noise_seed_behavior(desk_problem):
     for noisy in (n1, n2):
         diff = [NodalField(mesh, a.values - b.values) for a, b in zip(noisy, data)]
         assert data_norm(mesh, diff) == pytest.approx(d1, rel=1e-12)
+
+
+def test_add_noise_bitwise_against_l2_gram_mass(desk_problem):
+    # Reference: the same scaling with the L2 Gram solver's mass matrix;
+    # the noisy data and the noise level must match to the bit.
+    _, data, _ = desk_problem
+    mesh = data[0].mesh
+    noisy, delta = add_noise(data, 0.05, seed=20241)
+    mass = GramSolver(mesh, InnerProductSpec.l2()).mass
+    values = stack_fields(data)
+    noise = np.random.default_rng(20241).standard_normal(values.shape)
+    data_scale = np.sqrt(sum(l2_norm(mass, row) ** 2 for row in values))
+    noise_scale = np.sqrt(sum(l2_norm(mass, row) ** 2 for row in noise))
+    expected_delta = 0.05 * data_scale
+    assert delta == expected_delta
+    assert np.array_equal(
+        stack_fields(noisy), values + expected_delta * noise / noise_scale
+    )
 
 
 def test_step_zero_gradient_at_exact_data(mesh500, desk_problem):
