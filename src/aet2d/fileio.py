@@ -31,15 +31,42 @@ def write_field_csv(path, field: NodalField) -> None:
 
 
 def read_field_csv(path, mesh: Mesh) -> NodalField:
-    """Read a field written by ``write_field_csv`` back onto its mesh."""
-    values = []
+    """Read a field written by ``write_field_csv`` back onto its mesh.
+
+    The file must have one row per mesh vertex, in vertex order, and each
+    row's x,y must equal that vertex's coordinates exactly (``repr``
+    floats round-trip). A malformed row, a coordinate mismatch or a wrong
+    row count raises ``ValueError`` naming the file and line.
+    """
+    n = mesh.num_vertices
+    values = np.empty(n)
+    row = 0
     with open(path) as fp:
         header = fp.readline().strip()
         if header != "x,y,value":
             raise ValueError(f"unexpected field header {header!r} in {path}")
-        for line in fp:
-            values.append(float(line.split(",")[2]))
-    return NodalField(mesh, np.asarray(values))
+        for lineno, line in enumerate(fp, start=2):
+            if row == n:
+                raise ValueError(f"{path}, line {lineno}: more rows than the {n} mesh vertices")
+            try:
+                x, y, v = (float(cell) for cell in line.split(","))
+            except ValueError:
+                raise ValueError(
+                    f"{path}, line {lineno}: malformed row {line.rstrip()!r}"
+                ) from None
+            vx, vy = mesh.vertices[row]
+            if x != vx or y != vy:
+                raise ValueError(
+                    f"{path}, line {lineno}: coordinates ({x!r}, {y!r}) differ from "
+                    f"mesh vertex {row} ({float(vx)!r}, {float(vy)!r})"
+                )
+            values[row] = v
+            row += 1
+    if row < n:
+        raise ValueError(
+            f"{path}, line {row + 2}: file ends after {row} rows, mesh has {n} vertices"
+        )
+    return NodalField(mesh, values)
 
 
 def write_mesh(path, mesh: Mesh) -> None:

@@ -9,19 +9,28 @@ all P1 x P1 products integrated exactly. Forming the products this way
 uses) avoids an artificial high-frequency near-nullspace that would
 inflate the condition numbers by more than an order of magnitude.
 
-Assembly reuses one factorization of K(sigma) and solves all
-hat-function linearizations as a single dense multi-RHS
-back-substitution, which brings the cost to seconds at the 2000-vertex
-scale.
+Assembly reuses one factorization of K(sigma) and solves once for the
+dense zero-mean inverse K+ (the solution operator of the checked
+zero-mean solve, applied to the identity). Every measurement's block of
+linearized potentials is then a sparse-dense-sparse product with K+, so
+an assembly costs one V-column back-substitution whatever the number of
+measurements.
+
+Condition numbers of row-stacked blocks come from the eigenvalues of
+the summed block Grams sum_j B_j^T B_j. Forming a Gram squares the
+condition number, so its relative error grows like eps * cond^2; above
+GRAM_COND_LIMIT (or for a Gram that is not positive definite) the
+stacked matrix goes through the dense SVD instead.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
+from scipy import linalg, sparse
 
 from .fem import NodalField, _MASS_BASE, assemble_weighted_mass
 from .forward import ForwardState, MeasurementSet, gradient_on_triangles, solve_measurement_set
@@ -31,6 +40,11 @@ from .mesh import Mesh
 # combinations (descending count) by accessible-arc angle.
 TABLE_COMBOS = ((1, 2, 3), (1, 2), (2, 3), (1, 3), (1,), (2,), (3,))
 TABLE_ANGLES = (2.0 * np.pi, 1.5 * np.pi, np.pi, 0.5 * np.pi)
+
+# Largest condition number taken from a Gram spectrum. The Gram result
+# has relative error ~eps * cond^2, about 2e-6 at this limit; larger
+# condition numbers are recomputed with the SVD.
+GRAM_COND_LIMIT = 1e5
 
 
 @dataclass
@@ -98,15 +112,6 @@ def _p1_test_integrals(mesh: Mesh, vertex_values: np.ndarray) -> sparse.csr_matr
     ).tocsr()
 
 
-def _linearized_solutions(state: ForwardState, j: int) -> np.ndarray:
-    """(V, V) dense matrix of linearized potentials, one column per hat."""
-    mesh = state.mesh
-    avg = _averaging_matrix(mesh)
-    pair = _pairing_matrix(mesh, state.grad_u[j])
-    rhs = (pair.T @ sparse.diags(mesh.triangle_areas) @ avg).toarray()
-    return -state.solver.solve(rhs)
-
-
 def assemble_transfer_matrix(
     sigma_truth: NodalField, ms: MeasurementSet
 ) -> TransferMatrix:
@@ -118,13 +123,15 @@ def assemble_transfer_matrix(
     mesh = sigma_truth.mesh
     state = solve_measurement_set(sigma_truth, ms)
     sigma_ints = _p1_test_integrals(mesh, sigma_truth.values)
+    area_avg = sparse.diags(mesh.triangle_areas) @ _averaging_matrix(mesh)
+    kinv = state.solver.solve(np.eye(mesh.num_vertices))
 
     blocks = []
     for j in range(state.num_measurements):
         pair = _pairing_matrix(mesh, state.grad_u[j])
-        uprime = _linearized_solutions(state, j)
+        # The hat-function linearizations are u' = -K+ pair^T diag(area) avg.
         blk = assemble_weighted_mass(mesh, state.grad_sq[j]).toarray()
-        blk += 2.0 * (sigma_ints @ (pair @ uprime))
+        blk -= 2.0 * (sigma_ints @ pair @ kinv @ (pair.T @ area_avg))
         blocks.append(blk)
     matrix = np.vstack(blocks)
     return TransferMatrix(matrix=matrix, blocks=blocks, mesh=mesh, ms=ms, sigma=sigma_truth)
@@ -212,6 +219,22 @@ def svd_analyze(
     )
 
 
+def _stacked_condition(
+    blocks: list[np.ndarray], grams: list[np.ndarray], truncate: int | None
+) -> float:
+    """Condition number of np.vstack(blocks) from the spectrum of sum(grams).
+
+    Falls back to the SVD of the stacked blocks when the smallest retained
+    eigenvalue is not positive or the estimate exceeds GRAM_COND_LIMIT.
+    """
+    eigs = _truncated(linalg.eigvalsh(sum(grams))[::-1], truncate)
+    if eigs[-1] > 0.0:
+        cond = math.sqrt(eigs[0] / eigs[-1])
+        if cond <= GRAM_COND_LIMIT:
+            return cond
+    return condition_number(np.vstack(blocks), truncate)
+
+
 def condition_table(
     sigma_truth: NodalField,
     angles=TABLE_ANGLES,
@@ -221,7 +244,13 @@ def condition_table(
     """Condition numbers over the (measurement combination, angle) grid.
 
     Assembles the full-measurement transfer matrix once per angle and
-    evaluates every combination from its row blocks.
+    forms each block's Gram B_j^T B_j once. Each combination's condition
+    number is sqrt(lambda_max / lambda_min) of its summed Grams, with
+    ``truncate`` applied to the descending eigenvalues as it is to
+    singular values. Entries whose Gram estimate exceeds GRAM_COND_LIMIT,
+    or whose retained lambda_min is not positive, are computed by
+    ``condition_number`` on the stacked blocks instead. One angle's blocks
+    are released before the next angle is assembled.
 
     Returns
     -------
@@ -230,17 +259,15 @@ def condition_table(
         number per angle (keyed by the angle value).
     """
     all_indices = tuple(sorted({j for combo in combos for j in combo}))
-    per_angle = {}
+    rows = [{"indices": combo} for combo in combos]
     for alpha in angles:
-        ms = MeasurementSet.trig(alpha, all_indices)
-        T = assemble_transfer_matrix(sigma_truth, ms)
-        per_angle[alpha] = {j: blk for j, blk in zip(all_indices, T.blocks)}
-
-    rows = []
-    for combo in combos:
-        row = {"indices": combo}
-        for alpha in angles:
-            stacked = np.vstack([per_angle[alpha][j] for j in combo])
-            row[alpha] = condition_number(stacked, truncate)
-        rows.append(row)
+        T = assemble_transfer_matrix(sigma_truth, MeasurementSet.trig(alpha, all_indices))
+        blocks = dict(zip(all_indices, T.blocks))
+        grams = {j: blk.T @ blk for j, blk in blocks.items()}
+        for row in rows:
+            combo = row["indices"]
+            row[alpha] = _stacked_condition(
+                [blocks[j] for j in combo], [grams[j] for j in combo], truncate
+            )
+        del T, blocks, grams
     return rows

@@ -26,6 +26,41 @@ def test_field_csv_header_check(mesh200, tmp_path):
         fileio.read_field_csv(path, mesh200)
 
 
+def _write_field(path, mesh):
+    fileio.write_field_csv(path, NodalField(mesh, np.arange(mesh.num_vertices, dtype=float)))
+    return path.read_text().splitlines(keepends=True)
+
+
+def test_field_csv_truncated(mesh200, tmp_path):
+    path = tmp_path / "field.csv"
+    lines = _write_field(path, mesh200)
+    path.write_text("".join(lines[:-5]))
+    first_missing = mesh200.num_vertices - 5 + 2  # header is line 1
+    with pytest.raises(ValueError, match=rf"field\.csv, line {first_missing}: file ends after"):
+        fileio.read_field_csv(path, mesh200)
+
+
+def test_field_csv_from_other_mesh(mesh200, mesh500, tmp_path):
+    path = tmp_path / "field.csv"
+    _write_field(path, mesh500)
+    with pytest.raises(ValueError, match=r"field\.csv, line \d+: coordinates"):
+        fileio.read_field_csv(path, mesh200)
+    path = tmp_path / "small.csv"
+    _write_field(path, mesh200)
+    with pytest.raises(ValueError, match=r"small\.csv, line \d+: (coordinates|file ends)"):
+        fileio.read_field_csv(path, mesh500)
+
+
+def test_field_csv_non_numeric_cell(mesh200, tmp_path):
+    path = tmp_path / "field.csv"
+    lines = _write_field(path, mesh200)
+    x, y, _ = lines[7].split(",")
+    lines[7] = f"{x},{y},oops\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match=r"field\.csv, line 8: malformed row"):
+        fileio.read_field_csv(path, mesh200)
+
+
 def test_mesh_roundtrip(tmp_path):
     mesh = generate_disk_mesh(150)
     path = tmp_path / "mesh.txt"

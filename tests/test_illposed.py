@@ -2,16 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
-from aet2d.fem import NodalField
+from aet2d import illposed
+from aet2d.fem import NodalField, assemble_weighted_mass
 from aet2d.forward import MeasurementSet, solve_measurement_set
 from aet2d.illposed import (
+    TABLE_ANGLES,
+    TABLE_COMBOS,
     SvdReport,
     TransferMatrix,
+    _averaging_matrix,
+    _p1_test_integrals,
+    _pairing_matrix,
     assemble_transfer_matrix,
     condition_number,
     condition_table,
     derivative_pairing,
+    singular_values,
     svd_analyze,
 )
 from aet2d.phantom import default_phantom, phantom_field
@@ -33,6 +41,39 @@ def _report_from_matrix(mesh, matrix, **kw):
         sigma=NodalField.constant(mesh, 1.0),
     )
     return svd_analyze(wrapped, **kw)
+
+
+def _linearized_solutions(state, j):
+    """(V, V) linearized potentials, one zero-mean solve per hat column."""
+    mesh = state.mesh
+    avg = _averaging_matrix(mesh)
+    pair = _pairing_matrix(mesh, state.grad_u[j])
+    rhs = (pair.T @ sparse.diags(mesh.triangle_areas) @ avg).toarray()
+    return -state.solver.solve(rhs)
+
+
+def _reference_blocks(truth, ms):
+    """Transfer blocks with one V-column solve per measurement."""
+    mesh = truth.mesh
+    state = solve_measurement_set(truth, ms)
+    sigma_ints = _p1_test_integrals(mesh, truth.values)
+    blocks = []
+    for j in range(state.num_measurements):
+        pair = _pairing_matrix(mesh, state.grad_u[j])
+        blk = assemble_weighted_mass(mesh, state.grad_sq[j]).toarray()
+        blk += 2.0 * (sigma_ints @ (pair @ _linearized_solutions(state, j)))
+        blocks.append(blk)
+    return blocks
+
+
+def test_single_inverse_matches_per_measurement_solves(desk_transfer):
+    T, truth, ms = desk_transfer
+    reference = _reference_blocks(truth, ms)
+    for blk, ref in zip(T.blocks, reference, strict=True):
+        assert np.max(np.abs(blk - ref)) <= 1e-12 * np.max(np.abs(ref))
+    again = assemble_transfer_matrix(truth, ms)
+    assert np.array_equal(again.matrix, T.matrix)
+    assert all(np.array_equal(a, b) for a, b in zip(again.blocks, T.blocks, strict=True))
 
 
 def test_matrix_agrees_with_operator(desk_transfer, rng):
@@ -197,3 +238,76 @@ def test_svd_report_validation():
         SvdReport(np.array([1.0, 2.0]), 2.0, (), [])  # increasing order
     with pytest.raises(ValueError):
         SvdReport(np.array([1.0, -0.5]), 2.0, (), [])
+
+
+@pytest.fixture(scope="module")
+def grid500(mesh500):
+    """Phantom on 500 vertices and the SVD spectrum of every grid entry."""
+    truth = phantom_field(default_phantom(), mesh500)
+    spectra = {}
+    for alpha in TABLE_ANGLES:
+        T = assemble_transfer_matrix(truth, MeasurementSet.trig(alpha))
+        for combo in TABLE_COMBOS:
+            stacked = np.vstack([T.blocks[j - 1] for j in combo])
+            spectra[combo, alpha] = singular_values(stacked)
+    return truth, spectra
+
+
+def _spy_condition_number(monkeypatch):
+    calls = []
+
+    def spy(matrix, truncate=None):
+        # the SVD of an exactly singular stack divides by a zero singular value
+        with np.errstate(divide="ignore"):
+            value = condition_number(matrix, truncate)
+        calls.append(value)
+        return value
+
+    monkeypatch.setattr(illposed, "condition_number", spy)
+    return calls
+
+
+@pytest.mark.parametrize("truncate", [None, 100])
+def test_condition_table_matches_stacked_svd(grid500, monkeypatch, truncate):
+    truth, spectra = grid500
+    fallbacks = _spy_condition_number(monkeypatch)
+    rows = condition_table(truth, truncate=truncate)
+    assert [row["indices"] for row in rows] == list(TABLE_COMBOS)
+    exact = []
+    for row in rows:
+        for alpha in TABLE_ANGLES:
+            s = spectra[row["indices"], alpha][:truncate]
+            oracle = float(s[0] / s[-1])
+            assert row[alpha] == pytest.approx(oracle, rel=1e-6)
+            if row[alpha] == oracle:
+                exact.append(row[alpha])
+    # every fallback entry is the SVD value itself, bit for bit
+    assert all(value in exact for value in fallbacks)
+    if truncate is None:
+        # the grid reaches both sides of the Gram limit
+        assert 0 < len(fallbacks) < len(TABLE_COMBOS) * len(TABLE_ANGLES)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_condition_table_rank_deficient_block_falls_back(mesh200, monkeypatch):
+    # A zero column gives the Gram an eigenvalue of exactly 0: the Gram path
+    # must hand it to the SVD without dividing by it.
+    assemble = illposed.assemble_transfer_matrix
+
+    def zero_first_column(sigma, ms):
+        T = assemble(sigma, ms)
+        for blk in T.blocks:
+            blk[:, 0] = 0.0
+        return T
+
+    monkeypatch.setattr(illposed, "assemble_transfer_matrix", zero_first_column)
+    fallbacks = _spy_condition_number(monkeypatch)
+    truth = phantom_field(default_phantom(), mesh200)
+    alpha = 2.0 * math.pi
+    rows = condition_table(truth, angles=(alpha,))
+    assert len(fallbacks) == len(TABLE_COMBOS)
+    T = zero_first_column(truth, MeasurementSet.trig(alpha))
+    for row, value in zip(rows, fallbacks, strict=True):
+        stacked = np.vstack([T.blocks[j - 1] for j in row["indices"]])
+        with np.errstate(divide="ignore"):
+            assert row[alpha] == value == condition_number(stacked)
