@@ -5,14 +5,23 @@ densities, one per applied boundary current. Per-triangle quantities
 (P1 gradients are piecewise constant) are projected to vertex fields by
 area-weighted averaging over the incident triangles, so the data space
 shares the nodal basis of the domain space.
+
+The maps between vertex and triangle values (gradients, the projection
+and its transpose) are products with the mesh's cached fixed-pattern
+sparse operators. Their entries are stored in local (triangle, corner)
+order, so each sum runs in the same order as the gather/scatter it
+stands for. A ``ForwardState`` holds each measurement's pairing
+coefficients as such an operator, formed once per state on first use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
 from . import fem
 from .fem import NodalField, ZeroMeanSolver, assemble_boundary_load, assemble_mass, assemble_stiffness
@@ -103,7 +112,8 @@ class ForwardState:
 
     Also carries the pieces that the sensitivity computations reuse: the
     factorized zero-mean solver for K(sigma), the per-triangle
-    conductivity, and the per-triangle potential gradients.
+    conductivity, the per-triangle potential gradients, and the pairing
+    transposes derived from them.
     """
 
     sigma: NodalField
@@ -113,6 +123,19 @@ class ForwardState:
     sigma_tri: np.ndarray = field(repr=False)
     grad_u: list[np.ndarray] = field(repr=False)  # per measurement, (T, 2)
     grad_sq: list[np.ndarray] = field(repr=False)  # per measurement, (T,)
+
+    @cached_property
+    def pairing_t(self) -> list[sparse.csc_matrix]:
+        """Per measurement, the (V, T) matrix with entry (i, T) = (grad u_j . grad phi_i)_T.
+
+        Formed on first use, once per state: a state that only produces
+        data (``simulate_data``) never holds these.
+        """
+        mesh = self.mesh
+        return [
+            mesh.corner_matrix_t(np.einsum("tcd,td->tc", mesh.hat_gradients, g))
+            for g in self.grad_u
+        ]
 
     @property
     def mesh(self) -> Mesh:
@@ -125,30 +148,26 @@ class ForwardState:
 
 def project_to_vertices(mesh: Mesh, tri_values: np.ndarray) -> np.ndarray:
     """Area-weighted average of per-triangle values over incident triangles."""
-    w = np.bincount(
-        mesh.triangles.ravel(),
-        weights=np.repeat(tri_values * mesh.triangle_areas, 3),
-        minlength=mesh.num_vertices,
-    )
+    w = mesh.incidence_t @ (tri_values * mesh.triangle_areas)
     return w / mesh.vertex_patch_areas
 
 
 def pullback_to_triangles(mesh: Mesh, vertex_dual: np.ndarray) -> np.ndarray:
     """Transpose of ``project_to_vertices`` (vertex functional -> triangles)."""
     scaled = vertex_dual / mesh.vertex_patch_areas
-    return scaled[mesh.triangles].sum(axis=1) * mesh.triangle_areas
+    return (mesh.incidence @ scaled) * mesh.triangle_areas
 
 
 def gradient_on_triangles(mesh: Mesh, values: np.ndarray) -> np.ndarray:
     """(T, 2) piecewise-constant gradient of a nodal field."""
-    return np.einsum("tc,tcd->td", values[mesh.triangles], mesh.hat_gradients)
+    return (mesh.gradient_operator @ values).reshape(mesh.num_triangles, 2)
 
 
 def power_density(sigma: NodalField, u: NodalField) -> NodalField:
     """Power density sigma * |grad u|^2 as a vertex field (nonnegative)."""
     mesh = sigma.mesh
     grad = gradient_on_triangles(mesh, u.values)
-    tri_vals = fem.sigma_on_triangles(mesh, sigma.values) * np.einsum(
+    tri_vals = fem.triangle_average(mesh, sigma.values) * np.einsum(
         "td,td->t", grad, grad
     )
     return NodalField(mesh, project_to_vertices(mesh, tri_vals))
@@ -184,7 +203,7 @@ def solve_measurement_set(
     if loads is None:
         loads = measurement_loads(mesh, ms)
     sols = solver.solve(loads)
-    sigma_tri = fem.sigma_on_triangles(mesh, sigma.values)
+    sigma_tri = fem.triangle_average(mesh, sigma.values)
 
     potentials, densities, grads, grads_sq = [], [], [], []
     for col in range(sols.shape[1]):
@@ -261,8 +280,7 @@ def simulate_data(
         fine_mesh = generate_disk_mesh(fine_vertex_count)
     sigma_fine = phantom_field(spec, fine_mesh)
     state = solve_measurement_set(sigma_fine, ms, sigma_floor)
-    data = [
-        NodalField(recon_mesh, interpolate(fine_mesh, e.values, recon_mesh.vertices))
-        for e in state.power_densities
-    ]
+    fine_stack = np.column_stack([e.values for e in state.power_densities])
+    values = interpolate(fine_mesh, fine_stack, recon_mesh.vertices)
+    data = [NodalField(recon_mesh, column) for column in np.ascontiguousarray(values.T)]
     return data, state

@@ -11,8 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
+from scipy import sparse
 
 TWO_PI = 2.0 * math.pi
 
@@ -38,6 +40,26 @@ class BoundaryArc:
 FULL_CIRCLE = BoundaryArc(TWO_PI)
 
 
+class AssemblyPlan(NamedTuple):
+    """Fixed scatter of the 9T local element entries into a CSR matrix.
+
+    Local entry k is (t, i, j) in C order of a (T, 3, 3) block array and
+    belongs to row ``triangles[t, i]``, column ``triangles[t, j]``. The
+    plan replays the summation order of ``coo_matrix(...).tocsr()``:
+    ``order`` lists the local entries in that order and ``slot`` gives
+    the CSR position each of them is added to, so
+    ``np.bincount(slot, weights=local.ravel()[order])`` returns the data
+    array that ``tocsr`` would, on the canonical ``indptr``/``indices``
+    (bincount starts each sum at +0.0, so an entry whose contributions
+    are all -0.0 comes out +0.0). All arrays are int32 and read-only.
+    """
+
+    order: np.ndarray
+    slot: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+
+
 class Mesh:
     """Conforming triangulation of the unit disk.
 
@@ -53,8 +75,14 @@ class Mesh:
         Polar angle of each boundary edge midpoint, in [0, 2*pi).
 
     Instances are immutable after construction and safe to share between
-    threads; derived geometry (areas, P1 gradients, local matrices) is
-    computed lazily and cached.
+    threads. Derived data is computed lazily and cached: the geometry
+    (areas, P1 gradients, local stiffness blocks, patch areas), the
+    ``assembly_plan`` that every global matrix is scattered with, and the
+    fixed-pattern sparse operators between vertex and triangle values
+    (``incidence_t``, its transpose view ``incidence``, and
+    ``gradient_operator``). Their index arrays are int32, the incidence
+    shares ``triangles`` as its index array, and ``gradient_operator``
+    stores no copy of ``hat_gradients``.
     """
 
     def __init__(self, vertices, triangles, boundary_edges, boundary_edge_angles):
@@ -106,25 +134,24 @@ class Mesh:
         b = y[:, nxt] - y[:, prv]
         c = x[:, prv] - x[:, nxt]
         grads = np.stack([b, c], axis=-1) / (2.0 * self.triangle_areas)[:, None, None]
-        grads.setflags(write=False)
-        return grads
+        # Stored in (t, d, c) order, the data layout of ``gradient_operator``.
+        store = np.ascontiguousarray(grads.transpose(0, 2, 1))
+        store.setflags(write=False)
+        return store.transpose(0, 2, 1)
 
     @cached_property
     def local_stiffness(self) -> np.ndarray:
         """(T, 3, 3) element stiffness blocks for unit conductivity."""
         g = self.hat_gradients
         s = np.einsum("tid,tjd->tij", g, g) * self.triangle_areas[:, None, None]
+        s = np.ascontiguousarray(s)  # assembly takes its entries in C order
         s.setflags(write=False)
         return s
 
     @cached_property
     def vertex_patch_areas(self) -> np.ndarray:
         """(V,) total area of the triangles incident to each vertex."""
-        w = np.bincount(
-            self.triangles.ravel(),
-            weights=np.repeat(self.triangle_areas, 3),
-            minlength=self.num_vertices,
-        )
+        w = self.incidence_t @ self.triangle_areas
         w.setflags(write=False)
         return w
 
@@ -132,12 +159,91 @@ class Mesh:
     def total_area(self) -> float:
         return float(self.triangle_areas.sum())
 
+    @cached_property
+    def _corner_indptr(self) -> np.ndarray:
+        """(T+1,) int32 row pointer of a (T, *) matrix with 3 entries per row."""
+        ptr = np.arange(0, 3 * self.num_triangles + 1, 3, dtype=np.int32)
+        ptr.setflags(write=False)
+        return ptr
+
+    @cached_property
+    def assembly_plan(self) -> AssemblyPlan:
+        """Scatter plan of the global matrices; see ``AssemblyPlan``."""
+        t = self.triangles
+        v = self.num_vertices
+        rows = np.repeat(t, 3, axis=1).ravel()
+        cols = np.tile(t, 3).ravel()
+        # coo -> csr first buckets the entries by row, stably ...
+        order = np.argsort(rows, kind="stable").astype(np.int32)
+        bucket_ptr = np.zeros(v + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=v), out=bucket_ptr[1:])
+        # ... then sorts each row by column with scipy's (unstable) sort,
+        # which fixes the order in which duplicates are summed. Running
+        # that sort on the entry ids reproduces its tie order.
+        bucketed = sparse.csr_matrix(
+            (order.astype(np.float64), cols[order], bucket_ptr), shape=(v, v)
+        )
+        bucketed.sort_indices()
+        order = bucketed.data.astype(np.int32)
+        sorted_rows = rows[order]
+        sorted_cols = bucketed.indices
+        new = np.ones(order.size, dtype=bool)
+        new[1:] = (sorted_rows[1:] != sorted_rows[:-1]) | (sorted_cols[1:] != sorted_cols[:-1])
+        slot = np.cumsum(new, dtype=np.int32) - 1
+        indptr = np.zeros(v + 1, dtype=np.int32)
+        np.cumsum(np.bincount(sorted_rows[new], minlength=v), out=indptr[1:])
+        plan = AssemblyPlan(order, slot, indptr, np.ascontiguousarray(sorted_cols[new]))
+        for arr in plan:
+            arr.setflags(write=False)
+        return plan
+
+    def corner_matrix_t(self, corner_values: np.ndarray) -> sparse.csc_matrix:
+        """(V, T) matrix with entry (triangles[t, c], t) = corner_values[t, c].
+
+        Stored as CSC in local (t, c) order: a product with a triangle
+        vector scatters in that order, like ``np.bincount`` over
+        ``triangles.ravel()``, and a product of its transpose (a CSR view)
+        with a vertex vector sums each triangle over c = 0, 1, 2 in turn.
+        """
+        return sparse.csc_matrix(
+            (np.ravel(corner_values), self.triangles.ravel(), self._corner_indptr),
+            shape=(self.num_vertices, self.num_triangles),
+        )
+
+    @cached_property
+    def incidence_t(self) -> sparse.csc_matrix:
+        """(V, T) vertex-triangle incidence E^T: scatters triangle values."""
+        return self.corner_matrix_t(np.ones(3 * self.num_triangles))
+
+    @cached_property
+    def incidence(self) -> sparse.csr_matrix:
+        """(T, V) incidence E, a CSR view of ``incidence_t``: sums over corners."""
+        return self.incidence_t.T
+
+    @cached_property
+    def gradient_operator(self) -> sparse.csr_matrix:
+        """(2T, V) map from nodal values to the flattened (T, 2) P1 gradients.
+
+        Its data array is the storage of ``hat_gradients``, not a copy;
+        row (t, d) sums over the corners c in order.
+        """
+        t = self.num_triangles
+        return sparse.csr_matrix(
+            (
+                self.hat_gradients.transpose(0, 2, 1).ravel(),
+                np.repeat(self.triangles, 2, axis=0).ravel(),
+                np.arange(0, 6 * t + 1, 3, dtype=np.int32),
+            ),
+            shape=(2 * t, self.num_vertices),
+        )
+
     def edge_count(self) -> int:
         """Number of distinct edges (for Euler characteristic checks)."""
-        t = self.triangles
-        pairs = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        pairs = np.sort(pairs, axis=1)
-        return np.unique(pairs, axis=0).shape[0]
+        t = self.triangles.astype(np.int64)
+        a = np.concatenate([t[:, 0], t[:, 1], t[:, 2]])
+        b = np.concatenate([t[:, 1], t[:, 2], t[:, 0]])
+        keys = np.minimum(a, b) * self.num_vertices + np.maximum(a, b)
+        return np.unique(keys).size
 
     def min_angle_deg(self) -> float:
         """Smallest interior angle over all triangles, in degrees."""
@@ -345,11 +451,22 @@ def locate_points(mesh: Mesh, points: np.ndarray):
 
 
 def interpolate(mesh: Mesh, values: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Evaluate a P1 nodal field at arbitrary points (barycentric)."""
+    """Evaluate P1 nodal fields at arbitrary points (barycentric).
+
+    ``values`` is one field (V,) or a stack of fields (V, k); the result
+    is (N,) or (N, k). The points are located once for the whole stack,
+    and each column is evaluated exactly as a single field would be.
+    """
+    values = np.asarray(values)
     tri_idx, bary, nearest = locate_points(mesh, points)
-    out = np.empty(tri_idx.shape[0])
     inside = tri_idx >= 0
     corner = mesh.triangles[tri_idx[inside]]
-    out[inside] = np.einsum("nc,nc->n", values[corner], bary[inside])
-    out[~inside] = values[nearest[~inside]]
-    return out
+    bary_in = bary[inside]
+    outside_vertex = nearest[~inside]
+    stack = values.reshape(values.shape[0], -1)
+    out = np.empty((tri_idx.shape[0], stack.shape[1]))
+    for col in range(stack.shape[1]):
+        field = stack[:, col]
+        out[inside, col] = np.einsum("nc,nc->n", field[corner], bary_in)
+        out[~inside, col] = field[outside_vertex]
+    return out.reshape(tri_idx.shape + values.shape[1:])

@@ -12,32 +12,24 @@ product, which makes the inner-product identity
 hold to solver precision. Gradient-descent stepsizes rely on this, so
 the adjoint deliberately transposes the implemented discretization
 instead of re-discretizing the continuous adjoint.
+
+Nothing here rebuilds mesh structure per call: the averaging, gradient
+and projection maps are products with the mesh's cached sparse
+operators, and the pairing transposes come from the forward state,
+which forms them once from its potential gradients.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fem import GramSolver, NodalField
+from .fem import GramSolver, NodalField, triangle_average, triangle_average_t
 from .forward import (
     ForwardState,
     gradient_on_triangles,
     project_to_vertices,
     pullback_to_triangles,
 )
-
-
-def _triangle_average(mesh, values: np.ndarray) -> np.ndarray:
-    return values[mesh.triangles].mean(axis=1)
-
-
-def _triangle_average_t(mesh, tri_values: np.ndarray) -> np.ndarray:
-    """Transpose of the vertex->triangle averaging (scatter by thirds)."""
-    return np.bincount(
-        mesh.triangles.ravel(),
-        weights=np.repeat(tri_values / 3.0, 3),
-        minlength=mesh.num_vertices,
-    )
 
 
 def _directional_pairing(state: ForwardState, j: int, values: np.ndarray) -> np.ndarray:
@@ -52,11 +44,7 @@ def _directional_pairing_t(state: ForwardState, j: int, tri_values: np.ndarray) 
 
     Component i is sum_T w_T (grad u_j . grad phi_i)_T.
     """
-    mesh = state.mesh
-    contrib = np.einsum("tcd,td->tc", mesh.hat_gradients, state.grad_u[j]) * tri_values[:, None]
-    return np.bincount(
-        mesh.triangles.ravel(), weights=contrib.ravel(), minlength=mesh.num_vertices
-    )
+    return state.pairing_t[j] @ tri_values
 
 
 def linearized_potential(state: ForwardState, j: int, h: NodalField) -> NodalField:
@@ -72,7 +60,7 @@ def linearized_potential(state: ForwardState, j: int, h: NodalField) -> NodalFie
 
 def _linearized_rhs(state: ForwardState, j: int, h_values: np.ndarray) -> np.ndarray:
     mesh = state.mesh
-    h_tri = _triangle_average(mesh, h_values)
+    h_tri = triangle_average(mesh, h_values)
     return _directional_pairing_t(state, j, h_tri * mesh.triangle_areas)
 
 
@@ -84,7 +72,7 @@ def derivative_apply(state: ForwardState, h: NodalField) -> list[NodalField]:
     linearized solves for all measurements share one back-substitution.
     """
     mesh = state.mesh
-    h_tri = _triangle_average(mesh, h.values)
+    h_tri = triangle_average(mesh, h.values)
     rhs = np.column_stack(
         [
             -_directional_pairing_t(state, j, h_tri * mesh.triangle_areas)
@@ -109,7 +97,7 @@ def adjoint_state(state: ForwardState, j: int, w: NodalField) -> NodalField:
     with sigma and w entering through their per-triangle averages.
     """
     mesh = state.mesh
-    w_tri = _triangle_average(mesh, w.values)
+    w_tri = triangle_average(mesh, w.values)
     rhs = -_directional_pairing_t(
         state, j, state.sigma_tri * w_tri * mesh.triangle_areas
     )
@@ -149,5 +137,5 @@ def adjoint_apply(
         tri = state.grad_sq[j] * q[j] - 2.0 * mesh.triangle_areas * _directional_pairing(
             state, j, z[:, j]
         )
-        dual += _triangle_average_t(mesh, tri)
+        dual += triangle_average_t(mesh, tri)
     return NodalField(mesh, gram.solve_dual(dual))

@@ -24,6 +24,7 @@ from aet2d.fem import (
 from aet2d.mesh import BoundaryArc, Mesh
 
 FULL = BoundaryArc(2.0 * math.pi)
+MASS_BASE = (np.ones((3, 3)) + np.eye(3)) / 12.0
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +71,57 @@ def test_stiffness_linear_in_sigma(mesh500, rng):
         mesh500, s2
     ).toarray()
     assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-14)
+
+
+def coo_scatter_reference(mesh, local):
+    """The COO -> CSR scatter that the cached assembly plan replays."""
+    t = mesh.triangles
+    rows = np.broadcast_to(t[:, :, None], local.shape)
+    cols = np.broadcast_to(t[:, None, :], local.shape)
+    v = mesh.num_vertices
+    return sparse.coo_matrix(
+        (local.ravel(), (rows.ravel(), cols.ravel())), shape=(v, v)
+    ).tocsr()
+
+
+def assert_same_csr(a, b):
+    """Equal structure and equal data bytes (this also compares signs of zero)."""
+    assert a.shape == b.shape
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype, name
+        assert x.tobytes() == y.tobytes(), name
+
+
+@pytest.mark.parametrize("mesh_name", ["mesh500", "mesh2000"])
+def test_assembly_matches_coo_scatter_bitwise(request, mesh_name, rng):
+    mesh = request.getfixturevalue(mesh_name)
+    sigma = NodalField(mesh, rng.uniform(0.5, 2.0, mesh.num_vertices))
+    sigma_tri = sigma.values[mesh.triangles].mean(axis=1)
+    assert_same_csr(
+        assemble_stiffness(mesh, sigma),
+        coo_scatter_reference(mesh, sigma_tri[:, None, None] * mesh.local_stiffness),
+    )
+    areas = mesh.triangle_areas[:, None, None]
+    assert_same_csr(assemble_mass(mesh), coo_scatter_reference(mesh, areas * MASS_BASE))
+    weights = rng.uniform(0.0, 3.0, mesh.num_triangles)
+    weights[::7] = 0.0
+    assert_same_csr(
+        assemble_weighted_mass(mesh, weights),
+        coo_scatter_reference(mesh, (weights * mesh.triangle_areas)[:, None, None] * MASS_BASE),
+    )
+
+
+def test_assembly_plan_is_int32_and_read_only(mesh500):
+    plan = mesh500.assembly_plan
+    for arr in plan:
+        assert arr.dtype == np.int32
+        assert not arr.flags.writeable
+    assert plan.order.size == plan.slot.size == 9 * mesh500.num_triangles
+    k = assemble_stiffness(mesh500, NodalField.constant(mesh500, 1.0))
+    assert np.shares_memory(k.indices, plan.indices)
+    assert np.shares_memory(k.indptr, plan.indptr)
+    assert k.has_canonical_format
 
 
 def test_stiffness_rejects_inadmissible(mesh500):
@@ -279,6 +331,25 @@ def test_embedding_adjoint_l2_identity(mesh500, rng):
     w = NodalField(mesh500, rng.standard_normal(mesh500.num_vertices))
     out = embedding_adjoint(w, InnerProductSpec.l2())
     assert np.array_equal(out.values, w.values)
+
+
+def test_gram_solver_rejects_factor_of_another_matrix(mesh500, rng):
+    # the factor is the mass matrix's, the matrix checked against is H2's
+    gram = GramSolver(mesh500, InnerProductSpec.l2())
+    gram.gram = gram_matrix(mesh500, InnerProductSpec.h2())
+    y = rng.standard_normal(mesh500.num_vertices)
+    with pytest.raises(SolverError, match="Gram solve residual"):
+        gram.solve_dual(y)
+    with pytest.raises(SolverError, match="Gram solve residual"):
+        gram.embedding_adjoint(y)
+
+
+def test_gram_solver_checked_solves_pass(mesh500, rng):
+    gram = GramSolver(mesh500, InnerProductSpec.h2_beta())
+    y = rng.standard_normal((mesh500.num_vertices, 2))
+    x = gram.solve_dual(y)
+    assert x.shape == y.shape
+    assert np.all(gram.solve_dual(np.zeros(mesh500.num_vertices)) == 0.0)
 
 
 def test_embedding_self_adjoint(mesh500, rng):

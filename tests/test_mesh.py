@@ -8,6 +8,7 @@ from aet2d.mesh import (
     accessible_boundary_edges,
     generate_disk_mesh,
     interpolate,
+    locate_points,
 )
 
 
@@ -31,6 +32,14 @@ def test_generated_mesh_invariants(target):
     assert np.sum(counts == 1) == mesh.boundary_edges.shape[0]
     bverts = np.unique(mesh.boundary_edges)
     assert np.max(np.abs(np.linalg.norm(mesh.vertices[bverts], axis=1) - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("target", [4, 12, 60, 500, 2000, 8000])
+def test_edge_count_matches_unique_pairs(target):
+    mesh = generate_disk_mesh(target)
+    t = mesh.triangles
+    pairs = np.sort(np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]), axis=1)
+    assert mesh.edge_count() == np.unique(pairs, axis=0).shape[0]
 
 
 def test_vertex_count_near_target(mesh2000):
@@ -106,3 +115,30 @@ def test_interpolate_circle_points(mesh2000):
     pts = np.column_stack([np.cos(theta), np.sin(theta)])
     exact = pts[:, 0] + 2.0 * pts[:, 1]
     assert np.max(np.abs(interpolate(mesh2000, values, pts) - exact)) <= 5e-3
+
+
+def test_interpolate_stack_equals_columns(mesh2000, mesh500, rng):
+    # circle points of the coarse mesh take the nudged path, far points the
+    # nearest-vertex fallback
+    values = rng.standard_normal((mesh2000.num_vertices, 3))
+    pts = np.vstack([mesh500.vertices, [[1.5, 0.0], [0.0, -2.0]]])
+    tri_idx, _, _ = locate_points(mesh2000, pts)
+    assert np.any(tri_idx < 0)
+    stacked = interpolate(mesh2000, values, pts)
+    assert stacked.shape == (pts.shape[0], 3)
+    for col in range(3):
+        single = interpolate(mesh2000, np.ascontiguousarray(values[:, col]), pts)
+        assert single.shape == (pts.shape[0],)
+        assert stacked[:, col].tobytes() == single.tobytes()
+
+
+def test_mesh_operators_share_storage(mesh500):
+    e = mesh500.incidence
+    assert e.indices.dtype == e.indptr.dtype == np.int32
+    assert np.shares_memory(e.indices, mesh500.triangles)
+    et = mesh500.incidence_t
+    assert np.shares_memory(et.indices, e.indices)
+    assert np.shares_memory(et.data, e.data)
+    grad = mesh500.gradient_operator
+    assert grad.indices.dtype == grad.indptr.dtype == np.int32
+    assert np.shares_memory(grad.data, mesh500.hat_gradients)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from aet2d.fem import (
     GramSolver,
@@ -15,10 +16,13 @@ from aet2d.forward import (
     ForwardState,
     MeasurementSet,
     gradient_on_triangles,
+    measurement_loads,
     power_density,
     solve_measurement_set,
     stack_fields,
 )
+from aet2d.inversion import ReconstructionConfig, add_noise, run_landweber
+from aet2d.mesh import generate_disk_mesh
 from aet2d.phantom import default_phantom, phantom_field
 from aet2d.sensitivity import (
     adjoint_apply,
@@ -204,9 +208,191 @@ def test_adjoint_apply_linearity(phantom_state, rng):
     assert np.allclose(a2, 2.0 * a1, rtol=1e-12, atol=1e-14)
 
 
+def test_adjoint_apply_h2_gram_check_accepts_stable_solve(mesh2000):
+    # The unit-weight H2 Gram is ill-conditioned: the dual of a Landweber
+    # residual at 2000 vertices is solved to a backward error of ~1e-16,
+    # yet |G x - y| is ~8e-10 |y|. The check must not reject that solve.
+    ms = MeasurementSet.trig(math.pi)
+    data = solve_measurement_set(phantom_field(default_phantom(), mesh2000), ms)
+    state = solve_measurement_set(NodalField.constant(mesh2000, 1.5), ms)
+    residual = [
+        NodalField(mesh2000, d.values - e.values)
+        for d, e in zip(data.power_densities, state.power_densities)
+    ]
+    out = adjoint_apply(state, residual, GramSolver(mesh2000, InnerProductSpec.h2()))
+    assert np.all(np.isfinite(out.values))
+
+
 def test_adjoint_apply_wrong_count(phantom_state):
     gram = GramSolver(phantom_state.mesh, InnerProductSpec.l2())
     with pytest.raises(ValueError):
         adjoint_apply(
             phantom_state, [NodalField.constant(phantom_state.mesh, 0.0)], gram
         )
+
+
+# Reference kernels: the gather/einsum/bincount forms that the mesh's
+# sparse operators replace, run on the forward state they produce.
+
+
+def reference_hat_gradients(mesh):
+    """P1 hat gradients in the memory layout of the element-wise formula.
+
+    einsum picks its summation kernel by memory layout, so the reference
+    gradient must see this layout rather than the cached view.
+    """
+    p = mesh.vertices[mesh.triangles]
+    x, y = p[..., 0], p[..., 1]
+    b = y[:, [1, 2, 0]] - y[:, [2, 0, 1]]
+    c = x[:, [2, 0, 1]] - x[:, [1, 2, 0]]
+    return np.stack([b, c], axis=-1) / (2.0 * mesh.triangle_areas)[:, None, None]
+
+
+class ReferenceKernels:
+    def __init__(self, mesh):
+        self.mesh = mesh
+        self.hat = reference_hat_gradients(mesh)
+        self.corners = mesh.triangles.ravel()
+
+    def average(self, values):
+        return values[self.mesh.triangles].mean(axis=1)
+
+    def average_t(self, tri_values):
+        return np.bincount(
+            self.corners, weights=np.repeat(tri_values / 3.0, 3),
+            minlength=self.mesh.num_vertices,
+        )
+
+    def project(self, tri_values):
+        w = np.bincount(
+            self.corners, weights=np.repeat(tri_values * self.mesh.triangle_areas, 3),
+            minlength=self.mesh.num_vertices,
+        )
+        return w / self.mesh.vertex_patch_areas
+
+    def pullback(self, vertex_dual):
+        scaled = vertex_dual / self.mesh.vertex_patch_areas
+        return scaled[self.mesh.triangles].sum(axis=1) * self.mesh.triangle_areas
+
+    def gradient(self, values):
+        return np.einsum("tc,tcd->td", values[self.mesh.triangles], self.hat)
+
+    def pairing(self, grad_u, values):
+        return np.einsum("td,td->t", grad_u, self.gradient(values))
+
+    def pairing_t(self, grad_u, tri_values):
+        contrib = np.einsum("tcd,td->tc", self.hat, grad_u) * tri_values[:, None]
+        return np.bincount(
+            self.corners, weights=contrib.ravel(), minlength=self.mesh.num_vertices
+        )
+
+    def stiffness(self, sigma_values):
+        t = self.mesh.triangles
+        local = self.average(sigma_values)[:, None, None] * self.mesh.local_stiffness
+        v = self.mesh.num_vertices
+        return sparse.coo_matrix(
+            (
+                local.ravel(),
+                (np.broadcast_to(t[:, :, None], local.shape).ravel(),
+                 np.broadcast_to(t[:, None, :], local.shape).ravel()),
+            ),
+            shape=(v, v),
+        ).tocsr()
+
+    def forward(self, sigma, ms):
+        solver = ZeroMeanSolver(self.stiffness(sigma.values), self.mesh)
+        sols = solver.solve(measurement_loads(self.mesh, ms))
+        sigma_tri = self.average(sigma.values)
+        grads = [self.gradient(sols[:, j]) for j in range(sols.shape[1])]
+        grads_sq = [np.einsum("td,td->t", g, g) for g in grads]
+        densities = [self.project(sigma_tri * gsq) for gsq in grads_sq]
+        return solver, sols, sigma_tri, grads, grads_sq, densities
+
+    def derivative(self, ref, h_values):
+        solver, _, sigma_tri, grads, grads_sq, _ = ref
+        areas = self.mesh.triangle_areas
+        h_tri = self.average(h_values)
+        rhs = np.column_stack([-self.pairing_t(g, h_tri * areas) for g in grads])
+        uprime = solver.solve(rhs)
+        return [
+            self.project(
+                grads_sq[j] * h_tri + 2.0 * sigma_tri * self.pairing(grads[j], uprime[:, j])
+            )
+            for j in range(len(grads))
+        ]
+
+    def adjoint(self, ref, w_values, gram):
+        solver, _, sigma_tri, grads, grads_sq, _ = ref
+        areas = self.mesh.triangle_areas
+        q = [self.pullback(gram.mass @ w) for w in w_values]
+        rhs = np.column_stack(
+            [self.pairing_t(g, sigma_tri * qj) for g, qj in zip(grads, q)]
+        )
+        z = solver.solve(rhs)
+        dual = np.zeros(self.mesh.num_vertices)
+        for j, g in enumerate(grads):
+            tri = grads_sq[j] * q[j] - 2.0 * areas * self.pairing(g, z[:, j])
+            dual += self.average_t(tri)
+        return gram.solve_dual(dual)
+
+
+def same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("mesh_name", ["mesh500", "mesh2000"])
+@pytest.mark.parametrize("alpha", [2.0 * math.pi, math.pi / 2])
+def test_forward_and_sensitivity_match_reference_kernels_bitwise(
+    request, mesh_name, alpha, rng
+):
+    mesh = request.getfixturevalue(mesh_name)
+    kernels = ReferenceKernels(mesh)
+    sigma = phantom_field(default_phantom(), mesh)
+    ms = MeasurementSet.trig(alpha)
+    state = solve_measurement_set(sigma, ms)
+    ref = kernels.forward(sigma, ms)
+    _, sols, sigma_tri, grads, grads_sq, densities = ref
+    assert same_bytes(state.sigma_tri, sigma_tri)
+    for j in range(len(ms)):
+        assert same_bytes(state.potentials[j].values, sols[:, j])
+        assert same_bytes(state.grad_u[j], grads[j])
+        assert same_bytes(state.grad_sq[j], grads_sq[j])
+        assert same_bytes(state.power_densities[j].values, densities[j])
+
+    h = rng.standard_normal(mesh.num_vertices)
+    for out, expected in zip(
+        derivative_apply(state, NodalField(mesh, h)), kernels.derivative(ref, h)
+    ):
+        assert same_bytes(out.values, expected)
+
+    w = [rng.standard_normal(mesh.num_vertices) for _ in range(len(ms))]
+    gram = GramSolver(mesh, InnerProductSpec.h2_beta())
+    out = adjoint_apply(state, [NodalField(mesh, wj) for wj in w], gram)
+    assert same_bytes(out.values, kernels.adjoint(ref, w, gram))
+
+
+def test_landweber_bitwise_on_fresh_and_warm_meshes():
+    ms = MeasurementSet.trig(math.pi)
+    data_mesh = generate_disk_mesh(500)
+    truth = phantom_field(default_phantom(), data_mesh)
+    data = solve_measurement_set(truth, ms).power_densities
+    noisy, delta_abs = add_noise(data, 0.05, 11)
+    config = ReconstructionConfig(tau=1.0, delta_rel=0.05, max_iter=40)
+
+    logs = []
+    fresh = generate_disk_mesh(500)  # no cached plan or operators yet
+    for mesh in (fresh, fresh, data_mesh):
+        fields = [NodalField(mesh, f.values) for f in noisy]
+        sigma, log = run_landweber(
+            config, fields, delta_abs, ms, NodalField(mesh, truth.values)
+        )
+        logs.append((sigma.values, log))
+    sigma0, log0 = logs[0]
+    assert log0.num_iterations > 5
+    for sigma, log in logs[1:]:
+        assert same_bytes(sigma, sigma0)
+        assert same_bytes(log.residuals, log0.residuals)
+        assert same_bytes(log.omegas, log0.omegas)
+        assert same_bytes(log.rel_errors, log0.rel_errors)
+        assert log.stop_reason == log0.stop_reason
