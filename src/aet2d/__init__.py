@@ -11,26 +11,23 @@ from .fem import (
     assemble_boundary_load,
     assemble_mass,
     assemble_stiffness,
-    embedding_adjoint,
     gram_matrix,
-    solve_neumann_zero_mean,
 )
 from .forward import (
     BoundaryCurrent,
     ForwardState,
     MeasurementSet,
     boundary_current_eval,
-    data_norm,
     determinant_diagnostic,
     power_density,
     simulate_data,
     solve_measurement_set,
 )
 from .illposed import SvdReport, TransferMatrix, assemble_transfer_matrix, condition_table, svd_analyze
-from .inversion import IterationLog, ReconstructionConfig, add_noise, run_landweber, steepest_descent_step
+from .inversion import IterationLog, ReconstructionConfig, add_noise, run_landweber
 from .mesh import BoundaryArc, Mesh, accessible_boundary_edges, generate_disk_mesh
 from .phantom import PhantomSpec, c2_ramp, default_phantom, evaluate_phantom, phantom_field
-from .sensitivity import adjoint_apply, adjoint_state, derivative_apply, linearized_potential
+from .sensitivity import adjoint_apply, derivative_apply, linearized_potential
 
 __version__ = "0.1.0"
 
@@ -50,7 +47,6 @@ __all__ = [
     "accessible_boundary_edges",
     "add_noise",
     "adjoint_apply",
-    "adjoint_state",
     "assemble_boundary_load",
     "assemble_mass",
     "assemble_stiffness",
@@ -58,11 +54,9 @@ __all__ = [
     "boundary_current_eval",
     "c2_ramp",
     "condition_table",
-    "data_norm",
     "default_phantom",
     "derivative_apply",
     "determinant_diagnostic",
-    "embedding_adjoint",
     "evaluate_phantom",
     "generate_disk_mesh",
     "gram_matrix",
@@ -72,7 +66,5 @@ __all__ = [
     "run_landweber",
     "simulate_data",
     "solve_measurement_set",
-    "solve_neumann_zero_mean",
-    "steepest_descent_step",
     "svd_analyze",
 ]

@@ -262,17 +262,6 @@ def _check_residual(what: str, resid: np.ndarray, scale: np.ndarray, label: str)
         )
 
 
-def solve_neumann_zero_mean(
-    K: sparse.spmatrix, b: np.ndarray, mesh: Mesh
-) -> NodalField:
-    """Solve the pure-Neumann system with the zero-mean constraint.
-
-    Raises ``SolverError`` if the residual exceeds 1e-10 relative to the
-    load.
-    """
-    return NodalField(mesh, ZeroMeanSolver(K, mesh).solve(b))
-
-
 def gram_matrix(mesh: Mesh, spec: InnerProductSpec) -> sparse.csr_matrix:
     """Gram matrix of the selected domain inner product.
 
@@ -295,11 +284,11 @@ def gram_matrix(mesh: Mesh, spec: InnerProductSpec) -> sparse.csr_matrix:
 class GramSolver:
     """Factorized Gram matrix of a domain inner product.
 
-    Provides the embedding-adjoint solve (G x = M w), the plain dual
-    solve (G x = y, for right-hand sides that are already functionals),
-    and the induced norm. Build once per (mesh, spec) and reuse.
+    Provides the dual solve G x = y, which maps a functional (for an L2
+    functional w, y = M w) to a domain-space field, and the induced inner
+    product. Build once per (mesh, spec) and reuse.
 
-    Both solves check their residual and raise ``SolverError`` when
+    The solve checks its residual and raises ``SolverError`` when
     |G x - y| exceeds 1e-10 * (|G| |x| + |y|), with |G| the largest
     absolute row sum: a normwise backward error above 1e-10. The bound is
     relative to |G| |x| rather than to |y| alone because the unit-weight
@@ -324,31 +313,9 @@ class GramSolver:
         _check_residual("Gram", self.gram @ x - y, scale, "(|G| |x| + |y|)")
         return x
 
-    def embedding_adjoint(self, w: np.ndarray) -> np.ndarray:
-        return self.solve_dual(self.mass @ w)
-
     def inner(self, a: np.ndarray, b: np.ndarray) -> float:
         return float(a @ (self.gram @ b))
 
-    def norm(self, a: np.ndarray) -> float:
-        return float(np.sqrt(max(self.inner(a, a), 0.0)))
-
-
-def embedding_adjoint(w: NodalField, spec: InnerProductSpec) -> NodalField:
-    """Riesz-type solve turning an L2 functional into a domain-space field.
-
-    Returns x with <x, v>_G = <w, v>_L2 for all nodal v; for mode L2 this
-    is w itself (G equals the mass matrix).
-    """
-    if spec.mode == "L2":
-        return NodalField(w.mesh, w.values.copy())
-    solver = GramSolver(w.mesh, spec)
-    return NodalField(w.mesh, solver.embedding_adjoint(w.values))
-
-
-def l2_inner(mass: sparse.spmatrix, a: np.ndarray, b: np.ndarray) -> float:
-    return float(a @ (mass @ b))
-
 
 def l2_norm(mass: sparse.spmatrix, a: np.ndarray) -> float:
-    return float(np.sqrt(max(l2_inner(mass, a, a), 0.0)))
+    return float(np.sqrt(max(float(a @ (mass @ a)), 0.0)))

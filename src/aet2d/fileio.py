@@ -109,32 +109,22 @@ def read_mesh(path) -> Mesh:
     return Mesh(vertices, triangles, np.array(edges), np.array(angles))
 
 
-def _write_vtk_grid(fp, mesh: Mesh, title: str) -> None:
-    fp.write("# vtk DataFile Version 2.0\n")
-    fp.write(f"{title}\n")
-    fp.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
-    fp.write(f"POINTS {mesh.num_vertices} double\n")
-    for x, y in mesh.vertices:
-        fp.write(f"{_fmt(x)} {_fmt(y)} 0.0\n")
-    nt = mesh.num_triangles
-    fp.write(f"CELLS {nt} {4 * nt}\n")
-    for i, j, k in mesh.triangles:
-        fp.write(f"3 {i} {j} {k}\n")
-    fp.write(f"CELL_TYPES {nt}\n")
-    fp.write("5\n" * nt)
-
-
-def write_mesh_vtk(path, mesh: Mesh) -> None:
-    """Legacy-VTK unstructured grid of the bare triangulation."""
-    with open(path, "w") as fp:
-        _write_vtk_grid(fp, mesh, "mesh")
-
-
 def write_field_vtk(path, field: NodalField, name: str = "value") -> None:
     """Legacy-VTK unstructured grid with one point scalar, for viewers."""
     mesh = field.mesh
+    nt = mesh.num_triangles
     with open(path, "w") as fp:
-        _write_vtk_grid(fp, mesh, name)
+        fp.write("# vtk DataFile Version 2.0\n")
+        fp.write(f"{name}\n")
+        fp.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
+        fp.write(f"POINTS {mesh.num_vertices} double\n")
+        for x, y in mesh.vertices:
+            fp.write(f"{_fmt(x)} {_fmt(y)} 0.0\n")
+        fp.write(f"CELLS {nt} {4 * nt}\n")
+        for i, j, k in mesh.triangles:
+            fp.write(f"3 {i} {j} {k}\n")
+        fp.write(f"CELL_TYPES {nt}\n")
+        fp.write("5\n" * nt)
         fp.write(f"POINT_DATA {mesh.num_vertices}\n")
         fp.write(f"SCALARS {name} double\nLOOKUP_TABLE default\n")
         for v in field.values:
@@ -186,15 +176,6 @@ def write_singular_vectors(path_pattern, report: SvdReport) -> list[str]:
         write_field_csv(path, vec)
         paths.append(path)
     return paths
-
-
-def write_matrix_coordinate(path, matrix) -> None:
-    """Sparse matrix in ``i j value`` coordinate text form (debug aid)."""
-    coo = matrix.tocoo()
-    with open(path, "w") as fp:
-        fp.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            fp.write(f"{i} {j} {_fmt(v)}\n")
 
 
 def write_key_values(path, section: str, entries: dict) -> None:

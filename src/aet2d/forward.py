@@ -24,7 +24,7 @@ import numpy as np
 from scipy import sparse
 
 from . import fem
-from .fem import NodalField, ZeroMeanSolver, assemble_boundary_load, assemble_mass, assemble_stiffness
+from .fem import NodalField, ZeroMeanSolver, assemble_boundary_load, assemble_stiffness
 from .mesh import FULL_CIRCLE, BoundaryArc, Mesh, generate_disk_mesh, interpolate
 from .phantom import PhantomSpec, phantom_field
 
@@ -245,14 +245,6 @@ def stack_fields(fields: list[NodalField]) -> np.ndarray:
 
 def unstack_fields(mesh: Mesh, values: np.ndarray) -> list[NodalField]:
     return [NodalField(mesh, row) for row in values]
-
-
-def data_norm(mesh: Mesh, fields: list[NodalField]) -> float:
-    """Stacked data-space L2 norm (mass-weighted over all measurements)."""
-    m = assemble_mass(mesh)
-    return float(
-        np.sqrt(sum(float(f.values @ (m @ f.values)) for f in fields))
-    )
 
 
 def simulate_data(

@@ -81,37 +81,6 @@ class SvdReport:
             raise ValueError("singular values must be nonnegative and nonincreasing")
 
 
-def _averaging_matrix(mesh: Mesh) -> sparse.csr_matrix:
-    t = mesh.triangles
-    rows = np.repeat(np.arange(mesh.num_triangles), 3)
-    return sparse.coo_matrix(
-        (np.full(t.size, 1.0 / 3.0), (rows, t.ravel())),
-        shape=(mesh.num_triangles, mesh.num_vertices),
-    ).tocsr()
-
-
-def _pairing_matrix(mesh: Mesh, grad_u: np.ndarray) -> sparse.csr_matrix:
-    """(T, V) matrix of per-triangle pairings grad(u) . grad(phi_i)."""
-    t = mesh.triangles
-    rows = np.repeat(np.arange(mesh.num_triangles), 3)
-    vals = np.einsum("tcd,td->tc", mesh.hat_gradients, grad_u)
-    return sparse.coo_matrix(
-        (vals.ravel(), (rows, t.ravel())),
-        shape=(mesh.num_triangles, mesh.num_vertices),
-    ).tocsr()
-
-
-def _p1_test_integrals(mesh: Mesh, vertex_values: np.ndarray) -> sparse.csr_matrix:
-    """(V, T) matrix with entry (v, t) = int_t f phi_v for P1 f (exact)."""
-    t = mesh.triangles
-    w = np.einsum("ab,tb->ta", _MASS_BASE, vertex_values[t]) * mesh.triangle_areas[:, None]
-    cols = np.repeat(np.arange(mesh.num_triangles), 3)
-    return sparse.coo_matrix(
-        (w.ravel(), (t.ravel(), cols)),
-        shape=(mesh.num_vertices, mesh.num_triangles),
-    ).tocsr()
-
-
 def assemble_transfer_matrix(
     sigma_truth: NodalField, ms: MeasurementSet
 ) -> TransferMatrix:
@@ -122,13 +91,20 @@ def assemble_transfer_matrix(
     """
     mesh = sigma_truth.mesh
     state = solve_measurement_set(sigma_truth, ms)
-    sigma_ints = _p1_test_integrals(mesh, sigma_truth.values)
-    area_avg = sparse.diags(mesh.triangle_areas) @ _averaging_matrix(mesh)
+    # (V, T) entry (v, t) = int_t sigma phi_v, exact for P1 sigma. CSR, not
+    # the CSC that corner_matrix_t builds: a CSC left factor sums the
+    # products below in another order, which moves their last bits.
+    sigma_ints = mesh.corner_matrix_t(
+        np.einsum("ab,tb->ta", _MASS_BASE, sigma_truth.values[mesh.triangles])
+        * mesh.triangle_areas[:, None]
+    ).tocsr()
+    area_avg = sparse.diags(mesh.triangle_areas) @ (mesh.incidence / 3.0)
     kinv = state.solver.solve(np.eye(mesh.num_vertices))
 
     blocks = []
     for j in range(state.num_measurements):
-        pair = _pairing_matrix(mesh, state.grad_u[j])
+        # (T, V) per-triangle pairings grad(u_j) . grad(phi_i).
+        pair = state.pairing_t[j].T
         # The hat-function linearizations are u' = -K+ pair^T diag(area) avg.
         blk = assemble_weighted_mass(mesh, state.grad_sq[j]).toarray()
         blk -= 2.0 * (sigma_ints @ pair @ kinv @ (pair.T @ area_avg))

@@ -4,13 +4,15 @@ The iteration updates the conductivity along the adjoint-preconditioned
 residual with the steepest-descent stepsize |s|^2 / |dF s|^2 (domain norm
 over data norm), stops by the discrepancy principle when a noise level is
 known, and keeps iterates admissible by clamping at the conductivity
-floor. A safeguard halves the stepsize when a step would increase the
-residual; it can be disabled to recover the plain method.
+floor. A safeguard halves the stepsize, at most ``MAX_HALVINGS`` times,
+when a step would increase the residual; it can be disabled to recover
+the plain method.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -23,16 +25,19 @@ from .fem import (
     l2_norm,
 )
 from .forward import (
+    ForwardState,
     MeasurementSet,
     measurement_loads,
     solve_measurement_set,
     stack_fields,
     unstack_fields,
 )
-from .mesh import Mesh
 from .sensitivity import adjoint_apply, derivative_apply
 
 STOP_REASONS = ("discrepancy", "max_iter", "zero_gradient", "stagnation")
+
+# Most stepsize halvings the safeguard tries before it stops the run.
+MAX_HALVINGS = 20
 
 
 @dataclass(frozen=True)
@@ -46,7 +51,6 @@ class ReconstructionConfig:
     spec: InnerProductSpec = field(default_factory=InnerProductSpec.h2_beta)
     sigma_floor: float = DEFAULT_SIGMA_FLOOR
     safeguard: bool = True
-    max_halvings: int = 20
 
     def __post_init__(self):
         if self.tau < 1.0:
@@ -109,66 +113,62 @@ def add_noise(data: list[NodalField], delta_rel: float, seed: int):
     return unstack_fields(mesh, noisy), float(delta_abs)
 
 
-class _Workspace:
-    """Shared pieces of one run: Gram factorization and norms."""
+class _Stop(Exception):
+    """A step cannot be taken; ``reason`` is the run's stop reason."""
 
-    def __init__(self, mesh: Mesh, spec: InnerProductSpec):
-        self.gram = GramSolver(mesh, spec)
-
-    def residual_fields(self, data_values: np.ndarray, state) -> list[NodalField]:
-        mesh = state.mesh
-        return [
-            NodalField(mesh, data_values[j] - state.power_densities[j].values)
-            for j in range(state.num_measurements)
-        ]
-
-    def data_norm_sq(self, fields: list[NodalField]) -> float:
-        return sum(
-            float(f.values @ (self.gram.mass @ f.values)) for f in fields
-        )
+    def __init__(self, reason: str):
+        super().__init__(reason)
+        self.reason = reason
 
 
-def steepest_descent_step(
-    sigma_k: NodalField,
-    noisy_data: list[NodalField],
-    ms: MeasurementSet,
-    spec: InnerProductSpec,
-    sigma_floor: float = DEFAULT_SIGMA_FLOOR,
-):
-    """One steepest-descent update from sigma_k.
+class _Iterate(NamedTuple):
+    """A conductivity's forward solve, data residual and residual norm."""
 
-    Returns (sigma_next, omega, residual_norm) where the residual norm is
-    evaluated at sigma_k before the step. Raises ``ZeroGradientError``
-    when the descent direction or its image vanishes (stationary point).
+    state: ForwardState
+    residual: list[NodalField]
+    res_norm: float
+
+
+def _data_norm_sq(mass, fields: list[NodalField]) -> float:
+    """Stacked mass-weighted data norm, squared."""
+    return sum(float(f.values @ (mass @ f.values)) for f in fields)
+
+
+def _descent_step(
+    current: _Iterate,
+    gram: GramSolver,
+    evaluate: Callable[[NodalField], _Iterate],
+    config: ReconstructionConfig,
+) -> tuple[float, _Iterate]:
+    """One safeguarded steepest-descent step from ``current``.
+
+    The direction s is the adjoint of the residual in the domain inner
+    product, the stepsize omega = |s|^2_G / |dF s|^2_data, and the trial
+    iterate max(sigma + omega s, sigma_floor) is evaluated by ``evaluate``.
+    With the safeguard on, omega is halved until the trial residual does
+    not exceed the current one, at most MAX_HALVINGS times. Returns the
+    stepsize used and the accepted trial; raises ``_Stop`` when the
+    direction or its image vanishes or the halvings run out.
     """
-    ws = _Workspace(sigma_k.mesh, spec)
-    state = solve_measurement_set(sigma_k, ms, sigma_floor)
-    data_values = stack_fields(noisy_data)
-    residual = ws.residual_fields(data_values, state)
-    res_norm = float(np.sqrt(ws.data_norm_sq(residual)))
-    sigma_next, omega, _ = _descent_update(state, residual, ws, sigma_floor)
-    return sigma_next, omega, res_norm
-
-
-class ZeroGradientError(RuntimeError):
-    """The descent direction vanished; the iteration is stationary."""
-
-
-def _descent_update(state, residual, ws: _Workspace, sigma_floor: float):
-    """Direction, steepest-descent stepsize, and clamped trial iterate."""
-    s = adjoint_apply(state, residual, ws.gram)
-    s_norm_sq = ws.gram.inner(s.values, s.values)
+    state = current.state
+    s = adjoint_apply(state, current.residual, gram)
+    s_norm_sq = gram.inner(s.values, s.values)
     if s_norm_sq == 0.0:
-        raise ZeroGradientError("adjoint of the residual vanished")
-    image = derivative_apply(state, s)
-    image_norm_sq = ws.data_norm_sq(image)
+        raise _Stop("zero_gradient")
+    image_norm_sq = _data_norm_sq(gram.mass, derivative_apply(state, s))
     if image_norm_sq == 0.0:
-        raise ZeroGradientError("derivative of the descent direction vanished")
-    omega = s_norm_sq / image_norm_sq
-    sigma_next = NodalField(
-        state.mesh, np.maximum(state.sigma.values + omega * s.values, sigma_floor)
-    )
-    return sigma_next, float(omega), s
+        raise _Stop("zero_gradient")
+    omega = float(s_norm_sq / image_norm_sq)
+    for _ in range(MAX_HALVINGS + 1):
+        trial = evaluate(
+            NodalField(
+                state.mesh, np.maximum(state.sigma.values + omega * s.values, config.sigma_floor)
+            )
+        )
+        if not (config.safeguard and trial.res_norm > current.res_norm):
+            return omega, trial
+        omega *= 0.5
+    raise _Stop("stagnation")
 
 
 def run_landweber(
@@ -188,79 +188,57 @@ def run_landweber(
     Returns the final conductivity and the iteration log.
     """
     mesh = noisy_data[0].mesh
-    ws = _Workspace(mesh, config.spec)
+    gram = GramSolver(mesh, config.spec)
     data_values = stack_fields(noisy_data)
     loads = measurement_loads(mesh, ms)
 
-    if np.isscalar(config.sigma0):
-        sigma = NodalField.constant(mesh, float(config.sigma0))
-    else:
-        sigma = NodalField(mesh, np.asarray(config.sigma0, dtype=np.float64))
+    def evaluate(sigma: NodalField) -> _Iterate:
+        state = solve_measurement_set(sigma, ms, config.sigma_floor, loads=loads)
+        residual = [
+            NodalField(mesh, data_values[j] - state.power_densities[j].values)
+            for j in range(state.num_measurements)
+        ]
+        return _Iterate(state, residual, float(np.sqrt(_data_norm_sq(gram.mass, residual))))
 
-    truth_norm = l2_norm(ws.gram.mass, truth.values) if truth is not None else None
+    truth_norm = l2_norm(gram.mass, truth.values) if truth is not None else None
 
     def rel_error(s: NodalField) -> float:
         if truth is None:
             return float("nan")
-        return l2_norm(ws.gram.mass, s.values - truth.values) / truth_norm
+        return l2_norm(gram.mass, s.values - truth.values) / truth_norm
 
     residuals: list[float] = []
     omegas: list[float] = []
     errors: list[float] = []
 
-    state = solve_measurement_set(sigma, ms, config.sigma_floor, loads=loads)
-    residual = ws.residual_fields(data_values, state)
-    res_norm = float(np.sqrt(ws.data_norm_sq(residual)))
+    current = evaluate(NodalField.constant(mesh, config.sigma0))
     stop_reason = "max_iter"
 
     for _ in range(config.max_iter):
-        if delta_abs > 0.0 and res_norm <= config.tau * delta_abs:
+        if delta_abs > 0.0 and current.res_norm <= config.tau * delta_abs:
             stop_reason = "discrepancy"
             break
         try:
-            sigma_next, omega, s = _descent_update(state, residual, ws, config.sigma_floor)
-        except ZeroGradientError:
-            stop_reason = "zero_gradient"
+            omega, accepted = _descent_step(current, gram, evaluate, config)
+        except _Stop as stop:
+            stop_reason = stop.reason
             break
-
-        state_next = solve_measurement_set(sigma_next, ms, config.sigma_floor, loads=loads)
-        residual_next = ws.residual_fields(data_values, state_next)
-        res_next = float(np.sqrt(ws.data_norm_sq(residual_next)))
-
-        if config.safeguard:
-            halvings = 0
-            while res_next > res_norm and halvings < config.max_halvings:
-                omega *= 0.5
-                halvings += 1
-                sigma_next = NodalField(
-                    mesh,
-                    np.maximum(sigma.values + omega * s.values, config.sigma_floor),
-                )
-                state_next = solve_measurement_set(
-                    sigma_next, ms, config.sigma_floor, loads=loads
-                )
-                residual_next = ws.residual_fields(data_values, state_next)
-                res_next = float(np.sqrt(ws.data_norm_sq(residual_next)))
-            if res_next > res_norm:
-                stop_reason = "stagnation"
-                break
-
-        residuals.append(res_norm)
+        residuals.append(current.res_norm)
         omegas.append(omega)
-        errors.append(rel_error(sigma))
-        sigma, state, residual, res_norm = sigma_next, state_next, residual_next, res_next
+        errors.append(rel_error(current.state.sigma))
+        current = accepted
 
     if (
         stop_reason == "max_iter"
         and delta_abs > 0.0
-        and res_norm <= config.tau * delta_abs
+        and current.res_norm <= config.tau * delta_abs
     ):
         # budget ran out on the first iterate satisfying the test
         stop_reason = "discrepancy"
 
-    residuals.append(res_norm)
+    residuals.append(current.res_norm)
     omegas.append(float("nan"))
-    errors.append(rel_error(sigma))
+    errors.append(rel_error(current.state.sigma))
 
     log = IterationLog(
         residuals=np.asarray(residuals),
@@ -268,4 +246,4 @@ def run_landweber(
         rel_errors=np.asarray(errors),
         stop_reason=stop_reason,
     )
-    return sigma, log
+    return current.state.sigma, log

@@ -89,21 +89,6 @@ def derivative_apply(state: ForwardState, h: NodalField) -> list[NodalField]:
     return out
 
 
-def adjoint_state(state: ForwardState, j: int, w: NodalField) -> NodalField:
-    """Auxiliary adjoint potential for a vertex data field w.
-
-    Zero-mean solution of
-    int sigma grad(z) . grad(v) = -int sigma w grad(u_j) . grad(v),
-    with sigma and w entering through their per-triangle averages.
-    """
-    mesh = state.mesh
-    w_tri = triangle_average(mesh, w.values)
-    rhs = -_directional_pairing_t(
-        state, j, state.sigma_tri * w_tri * mesh.triangle_areas
-    )
-    return NodalField(mesh, state.solver.solve(rhs))
-
-
 def adjoint_apply(
     state: ForwardState, w: list[NodalField], gram: GramSolver
 ) -> NodalField:

@@ -16,10 +16,8 @@ from aet2d.fem import (
     assemble_mass,
     assemble_stiffness,
     assemble_weighted_mass,
-    embedding_adjoint,
     gram_matrix,
     l2_norm,
-    solve_neumann_zero_mean,
 )
 from aet2d.mesh import BoundaryArc, Mesh
 
@@ -175,18 +173,18 @@ def test_limited_angle_load_vanishes_off_arc(mesh500):
 
 def test_neumann_solve_zero_load(mesh500):
     k = assemble_stiffness(mesh500, NodalField.constant(mesh500, 1.0))
-    u = solve_neumann_zero_mean(k, np.zeros(mesh500.num_vertices), mesh500)
-    assert np.all(u.values == 0.0)
+    u = ZeroMeanSolver(k, mesh500).solve(np.zeros(mesh500.num_vertices))
+    assert np.all(u == 0.0)
 
 
 def test_neumann_solve_matches_harmonic(mesh2000):
     # sigma = 1, g = sin(theta): the solution is u = r sin(theta) = y
     k = assemble_stiffness(mesh2000, NodalField.constant(mesh2000, 1.0))
     b = assemble_boundary_load(mesh2000, np.sin, FULL)
-    u = solve_neumann_zero_mean(k, b, mesh2000)
+    u = ZeroMeanSolver(k, mesh2000).solve(b)
     m = assemble_mass(mesh2000)
     y = mesh2000.vertices[:, 1]
-    assert l2_norm(m, u.values - y) / l2_norm(m, y) <= 0.02
+    assert l2_norm(m, u - y) / l2_norm(m, y) <= 0.02
 
 
 def test_neumann_solve_zero_mean_and_residual(mesh500, rng):
@@ -202,8 +200,8 @@ def test_neumann_solution_scales_with_sigma(mesh500):
     b = assemble_boundary_load(mesh500, np.sin, FULL)
     k1 = assemble_stiffness(mesh500, NodalField.constant(mesh500, 1.0))
     k3 = assemble_stiffness(mesh500, NodalField.constant(mesh500, 3.0))
-    u1 = solve_neumann_zero_mean(k1, b, mesh500).values
-    u3 = solve_neumann_zero_mean(k3, b, mesh500).values
+    u1 = ZeroMeanSolver(k1, mesh500).solve(b)
+    u3 = ZeroMeanSolver(k3, mesh500).solve(b)
     assert np.allclose(u3, u1 / 3.0, rtol=1e-12, atol=1e-14)
 
 
@@ -266,8 +264,6 @@ def test_zero_mean_solver_rejects_matrix_without_constant_kernel(mesh500):
     solver = ZeroMeanSolver(shifted, mesh500)
     with pytest.raises(SolverError, match="residual"):
         solver.solve(b)
-    with pytest.raises(SolverError):
-        solve_neumann_zero_mean(shifted, b, mesh500)
 
 
 def test_gram_l2_is_mass(mesh500):
@@ -303,23 +299,25 @@ def test_inner_product_spec_validation(bad):
 
 
 def test_embedding_adjoint_zero(mesh500):
-    out = embedding_adjoint(NodalField.constant(mesh500, 0.0), InnerProductSpec.h2())
-    assert np.max(np.abs(out.values)) <= 1e-14
+    gram = GramSolver(mesh500, InnerProductSpec.h2())
+    out = gram.solve_dual(gram.mass @ np.zeros(mesh500.num_vertices))
+    assert np.max(np.abs(out)) <= 1e-14
 
 
 def test_embedding_adjoint_constant(mesh500):
-    out = embedding_adjoint(
-        NodalField.constant(mesh500, 0.9), InnerProductSpec.h2_beta(1.0, 1e-3, 1e-6)
-    )
-    assert np.max(np.abs(out.values - 0.9)) <= 1e-8
+    gram = GramSolver(mesh500, InnerProductSpec.h2_beta(1.0, 1e-3, 1e-6))
+    out = gram.solve_dual(gram.mass @ np.full(mesh500.num_vertices, 0.9))
+    assert np.max(np.abs(out - 0.9)) <= 1e-8
 
 
 def test_embedding_adjoint_pairing(mesh500, rng):
+    # <x, v>_G = <w, v>_L2 for all nodal v
     spec = InnerProductSpec.h2_beta()
     g = gram_matrix(mesh500, spec)
     m = assemble_mass(mesh500)
     w = rng.standard_normal(mesh500.num_vertices)
-    x = embedding_adjoint(NodalField(mesh500, w), spec).values
+    gram = GramSolver(mesh500, spec)
+    x = gram.solve_dual(gram.mass @ w)
     for _ in range(10):
         v = rng.standard_normal(mesh500.num_vertices)
         lhs = x @ (g @ v)
@@ -328,9 +326,12 @@ def test_embedding_adjoint_pairing(mesh500, rng):
 
 
 def test_embedding_adjoint_l2_identity(mesh500, rng):
-    w = NodalField(mesh500, rng.standard_normal(mesh500.num_vertices))
-    out = embedding_adjoint(w, InnerProductSpec.l2())
-    assert np.array_equal(out.values, w.values)
+    # the L2 Gram is the mass matrix, so the embedding adjoint is the identity
+    gram = GramSolver(mesh500, InnerProductSpec.l2())
+    assert gram.gram is gram.mass
+    w = rng.standard_normal(mesh500.num_vertices)
+    out = gram.solve_dual(gram.mass @ w)
+    assert np.max(np.abs(out - w)) <= 1e-10 * np.max(np.abs(w))
 
 
 def test_gram_solver_rejects_factor_of_another_matrix(mesh500, rng):
@@ -340,8 +341,6 @@ def test_gram_solver_rejects_factor_of_another_matrix(mesh500, rng):
     y = rng.standard_normal(mesh500.num_vertices)
     with pytest.raises(SolverError, match="Gram solve residual"):
         gram.solve_dual(y)
-    with pytest.raises(SolverError, match="Gram solve residual"):
-        gram.embedding_adjoint(y)
 
 
 def test_gram_solver_checked_solves_pass(mesh500, rng):

@@ -80,16 +80,8 @@ def test_vtk_export(mesh200, tmp_path):
     assert lines[0] == "# vtk DataFile Version 2.0"
     assert "DATASET UNSTRUCTURED_GRID" in lines[3]
     assert f"POINTS {mesh200.num_vertices} double" in lines[4]
+    assert f"CELLS {mesh200.num_triangles} {4 * mesh200.num_triangles}" in lines
     assert any(line.startswith("SCALARS conductivity") for line in lines)
-
-
-def test_mesh_vtk_export(mesh200, tmp_path):
-    path = tmp_path / "mesh.vtk"
-    fileio.write_mesh_vtk(path, mesh200)
-    text = path.read_text()
-    assert "DATASET UNSTRUCTURED_GRID" in text
-    assert f"CELLS {mesh200.num_triangles} {4 * mesh200.num_triangles}" in text
-    assert "POINT_DATA" not in text
 
 
 def test_iteration_log_roundtrip(tmp_path):
@@ -138,14 +130,3 @@ def test_key_values_roundtrip(tmp_path):
     assert float(back["alpha"]) == 3.141592653589793
     assert int(back["seed"]) == 7
     assert back["family"] == "trig"
-
-
-def test_matrix_coordinate_dump(mesh200, tmp_path):
-    from aet2d.fem import assemble_mass
-
-    m = assemble_mass(mesh200)
-    path = tmp_path / "mass.txt"
-    fileio.write_matrix_coordinate(path, m)
-    head = path.read_text().splitlines()[0].split()
-    assert int(head[0]) == mesh200.num_vertices
-    assert int(head[2]) == m.nnz

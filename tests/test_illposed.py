@@ -5,16 +5,13 @@ import pytest
 from scipy import sparse
 
 from aet2d import illposed
-from aet2d.fem import NodalField, assemble_weighted_mass
+from aet2d.fem import NodalField, _MASS_BASE, assemble_weighted_mass
 from aet2d.forward import MeasurementSet, solve_measurement_set
 from aet2d.illposed import (
     TABLE_ANGLES,
     TABLE_COMBOS,
     SvdReport,
     TransferMatrix,
-    _averaging_matrix,
-    _p1_test_integrals,
-    _pairing_matrix,
     assemble_transfer_matrix,
     condition_number,
     condition_table,
@@ -41,6 +38,66 @@ def _report_from_matrix(mesh, matrix, **kw):
         sigma=NodalField.constant(mesh, 1.0),
     )
     return svd_analyze(wrapped, **kw)
+
+
+# Reference operators of the transfer matrix, built by COO -> CSR scatter.
+
+
+def _averaging_matrix(mesh):
+    """(T, V) matrix averaging the three corner values of each triangle."""
+    t = mesh.triangles
+    rows = np.repeat(np.arange(mesh.num_triangles), 3)
+    return sparse.coo_matrix(
+        (np.full(t.size, 1.0 / 3.0), (rows, t.ravel())),
+        shape=(mesh.num_triangles, mesh.num_vertices),
+    ).tocsr()
+
+
+def _pairing_matrix(mesh, grad_u):
+    """(T, V) matrix of per-triangle pairings grad(u) . grad(phi_i)."""
+    t = mesh.triangles
+    rows = np.repeat(np.arange(mesh.num_triangles), 3)
+    vals = np.einsum("tcd,td->tc", mesh.hat_gradients, grad_u)
+    return sparse.coo_matrix(
+        (vals.ravel(), (rows, t.ravel())),
+        shape=(mesh.num_triangles, mesh.num_vertices),
+    ).tocsr()
+
+
+def _p1_test_integrals(mesh, vertex_values):
+    """(V, T) matrix with entry (v, t) = int_t f phi_v for P1 f (exact)."""
+    t = mesh.triangles
+    w = np.einsum("ab,tb->ta", _MASS_BASE, vertex_values[t]) * mesh.triangle_areas[:, None]
+    cols = np.repeat(np.arange(mesh.num_triangles), 3)
+    return sparse.coo_matrix(
+        (w.ravel(), (t.ravel(), cols)),
+        shape=(mesh.num_vertices, mesh.num_triangles),
+    ).tocsr()
+
+
+def _coo_transfer_blocks(truth, ms):
+    """Transfer blocks from the COO-built operators and one dense K+."""
+    mesh = truth.mesh
+    state = solve_measurement_set(truth, ms)
+    sigma_ints = _p1_test_integrals(mesh, truth.values)
+    area_avg = sparse.diags(mesh.triangle_areas) @ _averaging_matrix(mesh)
+    kinv = state.solver.solve(np.eye(mesh.num_vertices))
+    blocks = []
+    for j in range(state.num_measurements):
+        pair = _pairing_matrix(mesh, state.grad_u[j])
+        blk = assemble_weighted_mass(mesh, state.grad_sq[j]).toarray()
+        blk -= 2.0 * (sigma_ints @ pair @ kinv @ (pair.T @ area_avg))
+        blocks.append(blk)
+    return blocks
+
+
+@pytest.mark.parametrize("alpha", [2.0 * math.pi, 0.5 * math.pi])
+def test_transfer_matrix_matches_coo_operators_bitwise(mesh500, alpha):
+    truth = phantom_field(default_phantom(), mesh500)
+    ms = MeasurementSet.trig(alpha)
+    T = assemble_transfer_matrix(truth, ms)
+    reference = np.vstack(_coo_transfer_blocks(truth, ms))
+    assert T.matrix.tobytes() == reference.tobytes()
 
 
 def _linearized_solutions(state, j):

@@ -3,15 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from aet2d.fem import GramSolver, InnerProductSpec, NodalField, l2_norm
+from aet2d import inversion
+from aet2d.fem import GramSolver, InnerProductSpec, NodalField, assemble_mass, l2_norm
 from aet2d.forward import MeasurementSet, simulate_data, solve_measurement_set, stack_fields
 from aet2d.inversion import (
     IterationLog,
     ReconstructionConfig,
-    ZeroGradientError,
     add_noise,
     run_landweber,
-    steepest_descent_step,
 )
 from aet2d.phantom import default_phantom, phantom_field
 
@@ -26,6 +25,18 @@ def desk_problem(mesh500, fine3000):
     return ms, data, truth
 
 
+def _mass_norm(fields):
+    """Stacked mass-weighted data norm."""
+    mass = assemble_mass(fields[0].mesh)
+    return math.sqrt(sum(l2_norm(mass, f.values) ** 2 for f in fields))
+
+
+def _one_step(data, ms, spec, safeguard=False):
+    """One Landweber step from sigma = 1.5; returns (sigma_1, log)."""
+    config = ReconstructionConfig(max_iter=1, spec=spec, safeguard=safeguard)
+    return run_landweber(config, data, 0.0, ms)
+
+
 def test_add_noise_zero_level(mesh200, rng):
     data = [NodalField(mesh200, rng.standard_normal(mesh200.num_vertices))]
     noisy, delta = add_noise(data, 0.0, seed=5)
@@ -38,13 +49,11 @@ def test_add_noise_exact_relative_level(desk_problem):
     _, data, _ = desk_problem
     mesh = data[0].mesh
     noisy, delta = add_noise(data, 0.05, seed=11)
-    from aet2d.forward import data_norm
-
     diff = [
         NodalField(mesh, n.values - d.values) for n, d in zip(noisy, data)
     ]
-    assert data_norm(mesh, diff) / data_norm(mesh, data) == pytest.approx(0.05, rel=1e-12)
-    assert delta == pytest.approx(0.05 * data_norm(mesh, data), rel=1e-12)
+    assert _mass_norm(diff) / _mass_norm(data) == pytest.approx(0.05, rel=1e-12)
+    assert delta == pytest.approx(0.05 * _mass_norm(data), rel=1e-12)
 
 
 def test_add_noise_seed_behavior(desk_problem):
@@ -56,11 +65,9 @@ def test_add_noise_seed_behavior(desk_problem):
     assert np.array_equal(stack_fields(n1), stack_fields(n1b))
     assert not np.array_equal(stack_fields(n1), stack_fields(n2))
     assert d1 == d2  # same magnitude by construction
-    from aet2d.forward import data_norm
-
     for noisy in (n1, n2):
         diff = [NodalField(mesh, a.values - b.values) for a, b in zip(noisy, data)]
-        assert data_norm(mesh, diff) == pytest.approx(d1, rel=1e-12)
+        assert _mass_norm(diff) == pytest.approx(d1, rel=1e-12)
 
 
 def test_add_noise_bitwise_against_l2_gram_mass(desk_problem):
@@ -82,11 +89,15 @@ def test_add_noise_bitwise_against_l2_gram_mass(desk_problem):
 
 
 def test_step_zero_gradient_at_exact_data(mesh500, desk_problem):
-    ms, _, truth = desk_problem
-    state = solve_measurement_set(truth, ms)
+    # data made at the initial guess with no noise level: the residual,
+    # and so the descent direction, is exactly zero
+    ms, _, _ = desk_problem
+    state = solve_measurement_set(NodalField.constant(mesh500, 1.5), ms)
     exact = [NodalField(mesh500, e.values.copy()) for e in state.power_densities]
-    with pytest.raises(ZeroGradientError):
-        steepest_descent_step(truth, exact, ms, InnerProductSpec.l2())
+    sigma, log = _one_step(exact, ms, InnerProductSpec.l2(), safeguard=True)
+    assert log.stop_reason == "zero_gradient"
+    assert log.num_iterations == 0
+    assert np.all(sigma.values == 1.5)
 
 
 def test_step_update_homogeneity(mesh500, desk_problem):
@@ -98,25 +109,46 @@ def test_step_update_homogeneity(mesh500, desk_problem):
     bump = 0.01 * np.ones_like(f)
     data1 = [NodalField(mesh500, row) for row in f + bump]
     data2 = [NodalField(mesh500, row) for row in f + 2.0 * bump]
-    s1, om1, _ = steepest_descent_step(sigma, data1, ms, InnerProductSpec.l2())
-    s2, om2, _ = steepest_descent_step(sigma, data2, ms, InnerProductSpec.l2())
+    s1, log1 = _one_step(data1, ms, InnerProductSpec.l2())
+    s2, log2 = _one_step(data2, ms, InnerProductSpec.l2())
+    om1, om2 = log1.omegas[0], log2.omegas[0]
     assert om2 == pytest.approx(om1, rel=1e-10)
     upd1 = s1.values - sigma.values
     upd2 = s2.values - sigma.values
     assert np.allclose(upd2, 2.0 * upd1, rtol=1e-9, atol=1e-13)
 
 
-def test_step_decreases_residual(mesh500, desk_problem):
+def test_step_decreases_residual(desk_problem):
     # the raw (unsafeguarded) step with the H2 inner product; the less
     # smoothing an inner product applies, the more the first step from a
     # large misfit overshoots, which is what the run_landweber safeguard
     # is for
     ms, data, _ = desk_problem
-    sigma0 = NodalField.constant(mesh500, 1.5)
-    sigma1, omega, res0 = steepest_descent_step(sigma0, data, ms, InnerProductSpec.h2())
-    assert omega > 0.0
-    _, _, res1 = steepest_descent_step(sigma1, data, ms, InnerProductSpec.h2())
-    assert res1 < res0
+    _, log = _one_step(data, ms, InnerProductSpec.h2())
+    assert log.omegas[0] > 0.0
+    assert log.residuals[1] < log.residuals[0]
+
+
+def test_safeguard_halves_an_overshooting_step(desk_problem):
+    # with the L2 inner product the raw first step raises the residual
+    # (0.670 -> 0.893); one halving gives a decrease
+    ms, data, _ = desk_problem
+    _, raw = _one_step(data, ms, InnerProductSpec.l2())
+    assert raw.residuals[1] > raw.residuals[0]
+    _, guarded = _one_step(data, ms, InnerProductSpec.l2(), safeguard=True)
+    assert guarded.stop_reason == "max_iter"
+    assert guarded.omegas[0] == 0.5 * raw.omegas[0]
+    assert guarded.residuals[0] == raw.residuals[0]
+    assert guarded.residuals[1] < guarded.residuals[0]
+
+
+def test_safeguard_without_halvings_stagnates(desk_problem, monkeypatch):
+    ms, data, _ = desk_problem
+    monkeypatch.setattr(inversion, "MAX_HALVINGS", 0)
+    sigma, log = _one_step(data, ms, InnerProductSpec.l2(), safeguard=True)
+    assert log.stop_reason == "stagnation"
+    assert log.num_iterations == 0
+    assert np.all(sigma.values == 1.5)
 
 
 def test_landweber_stops_immediately_on_exact_data(mesh500, desk_problem):

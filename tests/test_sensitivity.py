@@ -9,15 +9,11 @@ from aet2d.fem import (
     InnerProductSpec,
     NodalField,
     ZeroMeanSolver,
-    assemble_stiffness,
     l2_norm,
 )
 from aet2d.forward import (
-    ForwardState,
     MeasurementSet,
-    gradient_on_triangles,
     measurement_loads,
-    power_density,
     solve_measurement_set,
     stack_fields,
 )
@@ -26,7 +22,6 @@ from aet2d.mesh import generate_disk_mesh
 from aet2d.phantom import default_phantom, phantom_field
 from aet2d.sensitivity import (
     adjoint_apply,
-    adjoint_state,
     derivative_apply,
     linearized_potential,
 )
@@ -120,37 +115,6 @@ def test_taylor_remainder_second_order(mesh500):
         remainders.append(math.sqrt(sum(l2_norm(gram.mass, row) ** 2 for row in r)))
     slope = np.polyfit(np.log(eps_values), np.log(remainders), 1)[0]
     assert abs(slope - 2.0) <= 0.2
-
-
-def test_adjoint_state_zero_and_linearity(phantom_state, rng):
-    mesh = phantom_state.mesh
-    zero = adjoint_state(phantom_state, 0, NodalField.constant(mesh, 0.0))
-    assert np.all(zero.values == 0.0)
-    w = rng.standard_normal(mesh.num_vertices)
-    a1 = adjoint_state(phantom_state, 0, NodalField(mesh, w)).values
-    a3 = adjoint_state(phantom_state, 0, NodalField(mesh, 3.0 * w)).values
-    assert np.allclose(a3, 3.0 * a1, rtol=1e-12, atol=1e-15)
-
-
-def test_adjoint_state_constant_weight(mesh500):
-    # sigma = 1, u = y exactly, w = c: the RHS is -c K(1) y, so Aw = -c y
-    sigma = NodalField.constant(mesh500, 1.0)
-    k = assemble_stiffness(mesh500, sigma)
-    y = mesh500.vertices[:, 1]
-    u = NodalField(mesh500, y)
-    grad = gradient_on_triangles(mesh500, y)
-    state = ForwardState(
-        sigma=sigma,
-        potentials=[u],
-        power_densities=[power_density(sigma, u)],
-        solver=ZeroMeanSolver(k, mesh500),
-        sigma_tri=np.ones(mesh500.num_triangles),
-        grad_u=[grad],
-        grad_sq=[np.einsum("td,td->t", grad, grad)],
-    )
-    c = 0.8
-    aw = adjoint_state(state, 0, NodalField.constant(mesh500, c))
-    assert np.max(np.abs(aw.values + c * y)) <= 1e-8 * np.max(np.abs(y))
 
 
 @pytest.mark.parametrize("mode", list(SPECS))
