@@ -27,7 +27,7 @@ from .illposed import SvdReport, TransferMatrix, assemble_transfer_matrix, condi
 from .inversion import IterationLog, ReconstructionConfig, add_noise, run_landweber
 from .mesh import BoundaryArc, Mesh, accessible_boundary_edges, generate_disk_mesh
 from .phantom import PhantomSpec, c2_ramp, default_phantom, evaluate_phantom, phantom_field
-from .sensitivity import adjoint_apply, derivative_apply, linearized_potential
+from .sensitivity import adjoint_apply, derivative_apply
 
 __version__ = "0.1.0"
 
@@ -60,7 +60,6 @@ __all__ = [
     "evaluate_phantom",
     "generate_disk_mesh",
     "gram_matrix",
-    "linearized_potential",
     "phantom_field",
     "power_density",
     "run_landweber",

@@ -221,8 +221,11 @@ class ZeroMeanSolver:
         self.mean_row = mesh.vertex_patch_areas / 3.0
         self._total = float(self.mean_row.sum())
         self._n = self.K.shape[0]
+        # K is exactly symmetric, so the CSR arrays of K[1:, 1:] are its CSC
+        # arrays: hand them to splu as they are instead of converting.
+        sub = self.K[1:, 1:]
         self._lu = splu(
-            self.K[1:, 1:].tocsc(),
+            sparse.csc_matrix((sub.data, sub.indices, sub.indptr), shape=sub.shape),
             permc_spec="MMD_AT_PLUS_A",
             diag_pivot_thresh=0.0,
             options=dict(SymmetricMode=True),

@@ -16,11 +16,15 @@ linearized potentials is then a sparse-dense-sparse product with K+, so
 an assembly costs one V-column back-substitution whatever the number of
 measurements.
 
-Condition numbers of row-stacked blocks come from the eigenvalues of
-the summed block Grams sum_j B_j^T B_j. Forming a Gram squares the
-condition number, so its relative error grows like eps * cond^2; above
-GRAM_COND_LIMIT (or for a Gram that is not positive definite) the
-stacked matrix goes through the dense SVD instead.
+Condition numbers of row-stacked blocks come from triangular factors,
+without forming a Gram matrix (so without squaring the condition
+number). Each block is reduced once to the R of its Householder QR; the
+R of a stack of blocks is the R of the stacked triangles (TSQR), which
+LAPACK tpqrt computes from two triangles. The extreme singular values of
+R are found by Lanczos on R^T R and on its inverse through triangular
+solves. Householder QR is backward stable, so the smallest singular
+value is accurate to about eps * sigma_max in absolute terms, as it is
+from the SVD of the stacked blocks.
 """
 
 from __future__ import annotations
@@ -31,9 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg, sparse
+from scipy.linalg import blas, lapack
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .fem import NodalField, _MASS_BASE, assemble_weighted_mass
-from .forward import ForwardState, MeasurementSet, gradient_on_triangles, solve_measurement_set
+from .forward import MeasurementSet, solve_measurement_set
 from .mesh import Mesh
 
 # Condition-number grid of the shipped configuration: measurement-index
@@ -41,10 +47,8 @@ from .mesh import Mesh
 TABLE_COMBOS = ((1, 2, 3), (1, 2), (2, 3), (1, 3), (1,), (2,), (3,))
 TABLE_ANGLES = (2.0 * np.pi, 1.5 * np.pi, np.pi, 0.5 * np.pi)
 
-# Largest condition number taken from a Gram spectrum. The Gram result
-# has relative error ~eps * cond^2, about 2e-6 at this limit; larger
-# condition numbers are recomputed with the SVD.
-GRAM_COND_LIMIT = 1e5
+# Block size of the blocked LAPACK tpqrt that stacks two triangles.
+_TPQRT_BLOCK = 32
 
 
 @dataclass
@@ -86,8 +90,10 @@ def assemble_transfer_matrix(
 ) -> TransferMatrix:
     """Assemble the transfer matrix of the linearization at sigma_truth.
 
-    By linearity over the hat basis the matrix action T @ h coincides
-    with ``derivative_pairing`` for arbitrary nodal directions h.
+    By linearity over the hat basis the matrix action T @ h is the
+    stacked pairing of the derivative in direction h with the data basis,
+    for arbitrary nodal directions h. Each block is written in place into
+    its rows of the matrix, and ``blocks`` are views of those rows.
     """
     mesh = sigma_truth.mesh
     state = solve_measurement_set(sigma_truth, ms)
@@ -99,52 +105,18 @@ def assemble_transfer_matrix(
         * mesh.triangle_areas[:, None]
     ).tocsr()
     area_avg = sparse.diags(mesh.triangle_areas) @ (mesh.incidence / 3.0)
-    kinv = state.solver.solve(np.eye(mesh.num_vertices))
+    v = mesh.num_vertices
+    kinv = state.solver.solve(np.eye(v))
 
-    blocks = []
-    for j in range(state.num_measurements):
+    matrix = np.empty((state.num_measurements * v, v))
+    blocks = [matrix[j * v : (j + 1) * v] for j in range(state.num_measurements)]
+    for j, blk in enumerate(blocks):
         # (T, V) per-triangle pairings grad(u_j) . grad(phi_i).
         pair = state.pairing_t[j].T
         # The hat-function linearizations are u' = -K+ pair^T diag(area) avg.
-        blk = assemble_weighted_mass(mesh, state.grad_sq[j]).toarray()
+        assemble_weighted_mass(mesh, state.grad_sq[j]).toarray(out=blk)
         blk -= 2.0 * (sigma_ints @ pair @ kinv @ (pair.T @ area_avg))
-        blocks.append(blk)
-    matrix = np.vstack(blocks)
     return TransferMatrix(matrix=matrix, blocks=blocks, mesh=mesh, ms=ms, sigma=sigma_truth)
-
-
-def derivative_pairing(state: ForwardState, h: NodalField) -> np.ndarray:
-    """Stacked pairings of the derivative in direction h with the data basis.
-
-    Operator-path counterpart of the transfer matrix: per measurement,
-    component row is int psi_row [h |grad u_j|^2 + 2 sigma grad u_j .
-    grad u'_j(h)], evaluated triangle by triangle without assembling any
-    matrix. Used to cross-check the assembled matrix.
-    """
-    from .sensitivity import linearized_potential
-
-    mesh = state.mesh
-    t = mesh.triangles
-    h_loc = h.values[t]
-    sig_loc = state.sigma.values[t]
-    out = []
-    for j in range(state.num_measurements):
-        up = linearized_potential(state, j, h)
-        dir_pair = np.einsum(
-            "td,td->t", state.grad_u[j], gradient_on_triangles(mesh, up.values)
-        )
-        # int_T h phi_a weights (exact for P1 h), plus the constant term
-        mult = np.einsum("ab,tb->ta", _MASS_BASE, h_loc) * (
-            state.grad_sq[j] * mesh.triangle_areas
-        )[:, None]
-        second = np.einsum("ab,tb->ta", _MASS_BASE, sig_loc) * (
-            2.0 * dir_pair * mesh.triangle_areas
-        )[:, None]
-        row = np.bincount(
-            t.ravel(), weights=(mult + second).ravel(), minlength=mesh.num_vertices
-        )
-        out.append(row)
-    return np.concatenate(out)
 
 
 def singular_values(matrix: np.ndarray) -> np.ndarray:
@@ -195,20 +167,65 @@ def svd_analyze(
     )
 
 
-def _stacked_condition(
-    blocks: list[np.ndarray], grams: list[np.ndarray], truncate: int | None
-) -> float:
-    """Condition number of np.vstack(blocks) from the spectrum of sum(grams).
+def _stacked_factor(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
+    """R of the QR of two stacked upper triangles (one TSQR step)."""
+    n = top.shape[0]
+    r, _, _, info = lapack.dtpqrt(n, min(_TPQRT_BLOCK, n), top, bottom)
+    if info != 0:
+        raise ValueError(f"LAPACK dtpqrt failed with info={info}")
+    return np.triu(r)
 
-    Falls back to the SVD of the stacked blocks when the smallest retained
-    eigenvalue is not positive or the estimate exceeds GRAM_COND_LIMIT.
+
+def _combination_factors(combos, factors: dict):
+    """Yield R of the stacked blocks of each combination in turn.
+
+    A combination's R folds its blocks in one at a time with
+    ``_stacked_factor``. The factors of the previous combination's prefixes
+    are reused and released once no longer a prefix: (1, 2, 3) folds 3
+    into the pair (1, 2), which then serves the combination (1, 2) too.
     """
-    eigs = _truncated(linalg.eigvalsh(sum(grams))[::-1], truncate)
-    if eigs[-1] > 0.0:
-        cond = math.sqrt(eigs[0] / eigs[-1])
-        if cond <= GRAM_COND_LIMIT:
-            return cond
-    return condition_number(np.vstack(blocks), truncate)
+    prefixes = {}
+    for combo in combos:
+        prefixes = {p: r for p, r in prefixes.items() if combo[: len(p)] == p}
+        r = factors[combo[0]]
+        for k in range(2, len(combo) + 1):
+            if combo[:k] not in prefixes:
+                prefixes[combo[:k]] = _stacked_factor(r, factors[combo[k - 1]])
+            r = prefixes[combo[:k]]
+        yield r
+
+
+def _largest_eigenvalue(n: int, matvec) -> float:
+    """Largest eigenvalue of a symmetric operator by Lanczos (ARPACK).
+
+    The fixed start vector makes the result repeat bit for bit; ARPACK
+    draws a random one otherwise.
+    """
+    v0 = np.random.default_rng(0).standard_normal(n)
+    op = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
+    return float(eigsh(op, k=1, which="LA", v0=v0, return_eigenvectors=False)[0])
+
+
+def _factor_condition(r: np.ndarray, truncate: int | None) -> float:
+    """Condition number of any matrix whose QR has the triangle r.
+
+    cond = sqrt(lambda_max(R^T R) * lambda_max((R^T R)^-1)), with BLAS
+    triangular products and solves. A truncated spectrum, or an exactly
+    zero pivot (a rank-deficient stack), goes to ``condition_number`` on
+    the square r instead.
+    """
+    if truncate is not None or not np.all(np.diagonal(r)):
+        return condition_number(r, truncate)
+    n = r.shape[0]
+    # L = R^T in Fortran order, which BLAS reads without a copy.
+    low = np.asfortranarray(r.T)
+    lam_max = _largest_eigenvalue(
+        n, lambda x: blas.dtrmv(low, blas.dtrmv(low, x, lower=1, trans=1), lower=1)
+    )
+    lam_inv = _largest_eigenvalue(
+        n, lambda x: blas.dtrsv(low, blas.dtrsv(low, x, lower=1), lower=1, trans=1)
+    )
+    return math.sqrt(lam_max * lam_inv)
 
 
 def condition_table(
@@ -220,13 +237,15 @@ def condition_table(
     """Condition numbers over the (measurement combination, angle) grid.
 
     Assembles the full-measurement transfer matrix once per angle and
-    forms each block's Gram B_j^T B_j once. Each combination's condition
-    number is sqrt(lambda_max / lambda_min) of its summed Grams, with
-    ``truncate`` applied to the descending eigenvalues as it is to
-    singular values. Entries whose Gram estimate exceeds GRAM_COND_LIMIT,
-    or whose retained lambda_min is not positive, are computed by
-    ``condition_number`` on the stacked blocks instead. One angle's blocks
-    are released before the next angle is assembled.
+    reduces each block B_j to the R_j of its QR, releasing the matrix
+    before any combination is formed. A combination's R comes from
+    stacking triangles with LAPACK tpqrt: each pair from (R_i, R_j), the
+    triple from (R_12, R_3). Its condition number is sqrt(lambda_max(R^T R)
+    * lambda_max((R^T R)^-1)), each eigenvalue from Lanczos (ARPACK
+    ``eigsh`` with a fixed start vector, so the grid repeats bit for bit;
+    non-convergence raises). With ``truncate`` set, or for an R with an
+    exactly zero diagonal entry, the entry is ``condition_number`` of the
+    square R, whose singular values are those of the stacked blocks.
 
     Returns
     -------
@@ -238,12 +257,12 @@ def condition_table(
     rows = [{"indices": combo} for combo in combos]
     for alpha in angles:
         T = assemble_transfer_matrix(sigma_truth, MeasurementSet.trig(alpha, all_indices))
-        blocks = dict(zip(all_indices, T.blocks))
-        grams = {j: blk.T @ blk for j, blk in blocks.items()}
-        for row in rows:
-            combo = row["indices"]
-            row[alpha] = _stacked_condition(
-                [blocks[j] for j in combo], [grams[j] for j in combo], truncate
-            )
-        del T, blocks, grams
+        factors = {
+            j: linalg.qr(blk, mode="r", check_finite=False)[0]
+            for j, blk in zip(all_indices, T.blocks)
+        }
+        del T
+        for row, r in zip(rows, _combination_factors(combos, factors)):
+            row[alpha] = _factor_condition(r, truncate)
+        del factors
     return rows

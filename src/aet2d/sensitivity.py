@@ -47,23 +47,6 @@ def _directional_pairing_t(state: ForwardState, j: int, tri_values: np.ndarray) 
     return state.pairing_t[j] @ tri_values
 
 
-def linearized_potential(state: ForwardState, j: int, h: NodalField) -> NodalField:
-    """Potential perturbation for a conductivity perturbation h.
-
-    Solves the zero-mean weak problem
-    int sigma grad(u') . grad(v) = -int h grad(u_j) . grad(v) for all v,
-    reusing the forward factorization of K(sigma).
-    """
-    rhs = -_linearized_rhs(state, j, h.values)
-    return NodalField(state.mesh, state.solver.solve(rhs))
-
-
-def _linearized_rhs(state: ForwardState, j: int, h_values: np.ndarray) -> np.ndarray:
-    mesh = state.mesh
-    h_tri = triangle_average(mesh, h_values)
-    return _directional_pairing_t(state, j, h_tri * mesh.triangle_areas)
-
-
 def derivative_apply(state: ForwardState, h: NodalField) -> list[NodalField]:
     """Directional derivative of the forward map: one field per measurement.
 

@@ -257,6 +257,29 @@ def test_zero_mean_solver_refactorization_is_bitwise(mesh500):
     assert np.array_equal(lam1, lam2)
 
 
+def test_zero_mean_solver_factors_csr_arrays_as_csc_bitwise(mesh2000):
+    # The solver hands the CSR arrays of K[1:, 1:] to splu as CSC arrays.
+    # K is exactly symmetric, so they are the arrays of a CSC conversion
+    # byte for byte, and the solves are those of the converted matrix.
+    x = mesh2000.vertices[:, 0]
+    k = assemble_stiffness(mesh2000, NodalField(mesh2000, 1.0 + x**2))
+    sub = k[1:, 1:]
+    converted = sub.tocsc()
+    for name in ("data", "indices", "indptr"):
+        assert getattr(sub, name).tobytes() == getattr(converted, name).tobytes()
+    b = np.column_stack(
+        [assemble_boundary_load(mesh2000, f, FULL)[1:] for f in (np.sin, np.cos)]
+    )
+    lu = splu(
+        converted,
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options=dict(SymmetricMode=True),
+    )
+    solver = ZeroMeanSolver(k, mesh2000)
+    assert solver._lu.solve(b).tobytes() == lu.solve(b).tobytes()
+
+
 def test_zero_mean_solver_rejects_matrix_without_constant_kernel(mesh500):
     k = assemble_stiffness(mesh500, NodalField.constant(mesh500, 1.0))
     shifted = (k + 1e-3 * sparse.identity(mesh500.num_vertices)).tocsr()

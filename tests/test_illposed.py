@@ -15,11 +15,11 @@ from aet2d.illposed import (
     assemble_transfer_matrix,
     condition_number,
     condition_table,
-    derivative_pairing,
     singular_values,
     svd_analyze,
 )
 from aet2d.phantom import default_phantom, phantom_field
+from reference import derivative_pairing
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +149,14 @@ def test_matrix_shape_and_blocks(desk_transfer):
     assert T.matrix.shape == (3 * v, v)
     assert np.array_equal(T.matrix[:v], T.blocks[0])
     assert np.all(np.isfinite(T.matrix))
+
+
+def test_blocks_are_views_of_matrix(desk_transfer):
+    T, _, _ = desk_transfer
+    v = T.mesh.num_vertices
+    for j, blk in enumerate(T.blocks):
+        assert np.shares_memory(blk, T.matrix)
+        assert np.array_equal(blk, T.matrix[j * v : (j + 1) * v])
 
 
 def test_constant_direction_column_sum(mesh500):
@@ -311,13 +319,14 @@ def grid500(mesh500):
 
 
 def _spy_condition_number(monkeypatch):
+    """Record (shape, is upper triangular, value) of every fallback call."""
     calls = []
 
     def spy(matrix, truncate=None):
-        # the SVD of an exactly singular stack divides by a zero singular value
+        # the SVD of an exactly singular matrix divides by a zero singular value
         with np.errstate(divide="ignore"):
             value = condition_number(matrix, truncate)
-        calls.append(value)
+        calls.append((matrix.shape, not np.any(np.tril(matrix, -1)), value))
         return value
 
     monkeypatch.setattr(illposed, "condition_number", spy)
@@ -330,25 +339,55 @@ def test_condition_table_matches_stacked_svd(grid500, monkeypatch, truncate):
     fallbacks = _spy_condition_number(monkeypatch)
     rows = condition_table(truth, truncate=truncate)
     assert [row["indices"] for row in rows] == list(TABLE_COMBOS)
-    exact = []
     for row in rows:
         for alpha in TABLE_ANGLES:
             s = spectra[row["indices"], alpha][:truncate]
             oracle = float(s[0] / s[-1])
             assert row[alpha] == pytest.approx(oracle, rel=1e-6)
-            if row[alpha] == oracle:
-                exact.append(row[alpha])
-    # every fallback entry is the SVD value itself, bit for bit
-    assert all(value in exact for value in fallbacks)
     if truncate is None:
-        # the grid reaches both sides of the Gram limit
-        assert 0 < len(fallbacks) < len(TABLE_COMBOS) * len(TABLE_ANGLES)
+        # full-rank triangles take the Lanczos path: no SVD at all
+        assert fallbacks == []
+    else:
+        # a truncated spectrum needs every singular value: each entry is
+        # the SVD of its square triangle, not of the stacked blocks
+        v = truth.mesh.num_vertices
+        assert all(shape == (v, v) and upper for shape, upper, _ in fallbacks)
+        values = [value for _, _, value in fallbacks]
+        assert values == [row[alpha] for alpha in TABLE_ANGLES for row in rows]
+
+
+def test_condition_table_within_1e10_of_stacked_svd(grid500):
+    truth, spectra = grid500
+    rows = condition_table(truth)
+    for row in rows:
+        for alpha in TABLE_ANGLES:
+            s = spectra[row["indices"], alpha]
+            assert row[alpha] == pytest.approx(float(s[0] / s[-1]), rel=1e-10)
+
+
+def test_condition_table_repeats_bitwise(mesh500):
+    truth = phantom_field(default_phantom(), mesh500)
+    angles = (2.0 * math.pi, 0.5 * math.pi)
+    # the entries are finite and >= 1, so equal floats are equal bits
+    assert condition_table(truth, angles=angles) == condition_table(truth, angles=angles)
+
+
+def test_condition_table_combination_order_is_bitwise_irrelevant(mesh200):
+    # Each combination folds its triangles in the same order whichever
+    # combinations came before, so reusing prefixes changes no bit.
+    truth = phantom_field(default_phantom(), mesh200)
+    angles = (math.pi,)
+    default = {row["indices"]: row[math.pi] for row in condition_table(truth, angles=angles)}
+    combos = ((3,), (1, 3), (2, 3), (1, 2, 3), (1, 2), (2,), (1,))
+    rows = condition_table(truth, angles=angles, combos=combos)
+    assert [row["indices"] for row in rows] == list(combos)
+    assert all(row[math.pi] == default[row["indices"]] for row in rows)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_condition_table_rank_deficient_block_falls_back(mesh200, monkeypatch):
-    # A zero column gives the Gram an eigenvalue of exactly 0: the Gram path
-    # must hand it to the SVD without dividing by it.
+    # A zero column gives every triangle an exactly zero pivot: the grid
+    # must hand it to the SVD of the triangle without dividing by it.
     assemble = illposed.assemble_transfer_matrix
 
     def zero_first_column(sigma, ms):
@@ -363,8 +402,10 @@ def test_condition_table_rank_deficient_block_falls_back(mesh200, monkeypatch):
     alpha = 2.0 * math.pi
     rows = condition_table(truth, angles=(alpha,))
     assert len(fallbacks) == len(TABLE_COMBOS)
+    v = mesh200.num_vertices
     T = zero_first_column(truth, MeasurementSet.trig(alpha))
-    for row, value in zip(rows, fallbacks, strict=True):
+    for row, (shape, upper, value) in zip(rows, fallbacks, strict=True):
+        assert shape == (v, v) and upper
         stacked = np.vstack([T.blocks[j - 1] for j in row["indices"]])
         with np.errstate(divide="ignore"):
-            assert row[alpha] == value == condition_number(stacked)
+            assert row[alpha] == value == condition_number(stacked) == math.inf

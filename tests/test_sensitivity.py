@@ -20,11 +20,8 @@ from aet2d.forward import (
 from aet2d.inversion import ReconstructionConfig, add_noise, run_landweber
 from aet2d.mesh import generate_disk_mesh
 from aet2d.phantom import default_phantom, phantom_field
-from aet2d.sensitivity import (
-    adjoint_apply,
-    derivative_apply,
-    linearized_potential,
-)
+from aet2d.sensitivity import adjoint_apply, derivative_apply
+from reference import linearized_potential
 
 SPECS = {
     "L2": InnerProductSpec.l2(),
