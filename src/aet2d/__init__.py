@@ -19,7 +19,6 @@ from .forward import (
     MeasurementSet,
     boundary_current_eval,
     determinant_diagnostic,
-    power_density,
     simulate_data,
     solve_measurement_set,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "generate_disk_mesh",
     "gram_matrix",
     "phantom_field",
-    "power_density",
     "run_landweber",
     "simulate_data",
     "solve_measurement_set",

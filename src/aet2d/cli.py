@@ -17,7 +17,7 @@ import re
 import sys
 
 from . import fileio
-from .fem import InnerProductSpec
+from .fem import InnerProductSpec, NodalField
 from .forward import MeasurementSet, determinant_diagnostic, simulate_data
 from .illposed import (
     TABLE_ANGLES,
@@ -26,7 +26,7 @@ from .illposed import (
     svd_analyze,
 )
 from .inversion import ReconstructionConfig, add_noise, run_landweber
-from .mesh import generate_disk_mesh
+from .mesh import Mesh, generate_disk_mesh
 from .phantom import Crescent, Disc, Inclusion, PhantomSpec, default_phantom, phantom_field
 
 DEFAULTS = {
@@ -200,19 +200,21 @@ def cmd_simulate(settings: dict) -> int:
     noisy, delta_abs = add_noise(data, noise, seed)
 
     det_min = float("nan")
-    if len(fine_state.potentials) >= 2:
-        _, det_min = determinant_diagnostic(
-            fine_state.potentials[0], fine_state.potentials[1]
-        )
+    if len(ms) >= 2:
+        u1, u2 = (NodalField(fine_state.mesh, u) for u in fine_state.potentials.values[:2])
+        _, det_min = determinant_diagnostic(u1, u2)
 
     fileio.write_mesh(os.path.join(out, "mesh.txt"), mesh)
     fileio.write_field_csv(
         os.path.join(out, "truth.csv"), phantom_field(spec, mesh)
     )
-    for j, (e, ed) in enumerate(zip(data, noisy), start=1):
+    for j, (clean, noisy_row) in enumerate(zip(data.values, noisy.values), start=1):
+        e = NodalField(mesh, clean)
         fileio.write_field_csv(os.path.join(out, f"E_{j:02d}.csv"), e)
         fileio.write_field_vtk(os.path.join(out, f"E_{j:02d}.vtk"), e, name="power_density")
-        fileio.write_field_csv(os.path.join(out, f"E_noisy_{j:02d}.csv"), ed)
+        fileio.write_field_csv(
+            os.path.join(out, f"E_noisy_{j:02d}.csv"), NodalField(mesh, noisy_row)
+        )
     fileio.write_key_values(
         os.path.join(out, "data_info.txt"),
         "data",
@@ -229,7 +231,7 @@ def cmd_simulate(settings: dict) -> int:
         },
     )
     print(
-        f"simulate: {len(data)} power densities on {mesh.num_vertices} vertices "
+        f"simulate: {len(ms)} power densities on {mesh.num_vertices} vertices "
         f"(fine mesh {fine_state.mesh.num_vertices}), delta_abs {delta_abs:.6g}, "
         f"min |det| {det_min:.4g}"
     )
@@ -245,6 +247,12 @@ def cmd_reconstruct(settings: dict) -> int:
     info = fileio.read_key_values(info_path, "data")
 
     mesh = generate_disk_mesh(int(info["mesh_vertices"]))
+    mesh_path = os.path.join(data_dir, "mesh.txt")
+    if _mesh_bytes(fileio.read_mesh(mesh_path)) != _mesh_bytes(mesh):
+        raise CliError(
+            f"{mesh_path} differs from the mesh that mesh_vertices = "
+            f"{info['mesh_vertices']} generates"
+        )
     data_settings = dict(settings)
     data_settings.update(
         {
@@ -254,10 +262,13 @@ def cmd_reconstruct(settings: dict) -> int:
         }
     )
     ms = make_measurement_set(data_settings)
-    noisy = [
-        fileio.read_field_csv(os.path.join(data_dir, f"E_noisy_{j:02d}.csv"), mesh)
-        for j in range(1, int(info["measurements"]) + 1)
-    ]
+    noisy = NodalField(
+        mesh,
+        [
+            fileio.read_field_csv(os.path.join(data_dir, f"E_noisy_{j:02d}.csv"), mesh).values
+            for j in range(1, len(ms) + 1)
+        ],
+    )
     truth = None
     truth_path = os.path.join(data_dir, "truth.csv")
     if os.path.exists(truth_path):
@@ -308,6 +319,11 @@ def cmd_reconstruct(settings: dict) -> int:
         f"rel error {log.rel_errors[-1]:.6g}"
     )
     return 0
+
+
+def _mesh_bytes(mesh: Mesh) -> tuple[bytes, ...]:
+    arrays = (mesh.vertices, mesh.triangles, mesh.boundary_edges, mesh.boundary_edge_angles)
+    return tuple(a.tobytes() for a in arrays)
 
 
 def _truncate_value(settings: dict):

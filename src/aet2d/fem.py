@@ -29,7 +29,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .mesh import BoundaryArc, Mesh, accessible_boundary_edges
+from .mesh import BoundaryArc, Mesh, accessible_boundary_edges, rowwise
 
 # Default admissibility floor for conductivities.
 DEFAULT_SIGMA_FLOOR = 0.1
@@ -47,16 +47,21 @@ class CompatibilityWarning(UserWarning):
 
 @dataclass
 class NodalField:
-    """Piecewise-linear scalar field given by one coefficient per vertex."""
+    """Piecewise-linear scalar field given by one coefficient per vertex.
+
+    ``values`` is one field (V,) or a stack of M fields, one per row of a
+    C-contiguous (M, V) array, such as the M power densities of one
+    measurement set. The stack is checked once, not field by field.
+    """
 
     mesh: Mesh
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != (self.mesh.num_vertices,):
+        self.values = np.ascontiguousarray(self.values, dtype=np.float64)
+        if self.values.ndim not in (1, 2) or self.values.shape[-1] != self.mesh.num_vertices:
             raise ValueError(
-                f"expected {self.mesh.num_vertices} coefficients, "
+                f"expected {self.mesh.num_vertices} coefficients per field, "
                 f"got shape {self.values.shape}"
             )
         if not np.all(np.isfinite(self.values)):
@@ -65,6 +70,13 @@ class NodalField:
     @classmethod
     def constant(cls, mesh: Mesh, value: float) -> "NodalField":
         return cls(mesh, np.full(mesh.num_vertices, float(value)))
+
+    def check_single(self, what: str) -> None:
+        """Raise ``ValueError`` unless this is one field rather than a stack."""
+        if self.values.ndim != 1:
+            raise ValueError(
+                f"{what} must be a single field, got a stack of shape {self.values.shape}"
+            )
 
 
 @dataclass(frozen=True)
@@ -107,8 +119,11 @@ def triangle_average(mesh: Mesh, values: np.ndarray) -> np.ndarray:
 
 
 def triangle_average_t(mesh: Mesh, tri_values: np.ndarray) -> np.ndarray:
-    """Transpose of ``triangle_average`` (scatter thirds to the vertices)."""
-    return mesh.incidence_t @ (tri_values / 3.0)
+    """Transpose of ``triangle_average`` (scatter thirds to the vertices).
+
+    ``tri_values`` is (T,) or an (M, T) stack, mapped row by row.
+    """
+    return rowwise(mesh.incidence_t, tri_values / 3.0)
 
 
 def _scatter_symmetric(mesh: Mesh, local: np.ndarray) -> sparse.csr_matrix:

@@ -24,6 +24,7 @@ def _fmt(x: float) -> str:
 
 def write_field_csv(path, field: NodalField) -> None:
     """Write a nodal field as ``x,y,value`` rows in mesh vertex order."""
+    field.check_single("a field written to CSV")
     with open(path, "w") as fp:
         fp.write("x,y,value\n")
         for (x, y), v in zip(field.mesh.vertices, field.values):
@@ -89,28 +90,54 @@ def write_mesh(path, mesh: Mesh) -> None:
 
 
 def read_mesh(path) -> Mesh:
+    """Read a mesh written by ``write_mesh``.
+
+    A malformed header or row, or a line count other than the header
+    announces, raises ``ValueError`` naming the file and line.
+    """
     with open(path) as fp:
-        head = fp.readline().split()
+        lines = fp.read().splitlines()
+    head = lines[0].split() if lines else []
+    try:
         if head[0::2] != ["vertices", "triangles", "boundary_edges"]:
-            raise ValueError(f"unexpected mesh header in {path}")
+            raise ValueError
         nv, nt, nb = (int(x) for x in head[1::2])
-        vertices = np.array(
-            [[float(t) for t in fp.readline().split()] for _ in range(nv)]
+        if min(nv, nt, nb) < 0:
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"{path}, line 1: malformed mesh header {' '.join(head)!r}") from None
+    expected = 1 + nv + nt + nb
+    if len(lines) != expected:
+        raise ValueError(
+            f"{path}, line {min(len(lines), expected) + 1}: the file has {len(lines)} "
+            f"lines, its header announces {expected}"
         )
-        triangles = np.array(
-            [[int(t) for t in fp.readline().split()] for _ in range(nt)]
-        )
-        edges = []
-        angles = []
-        for _ in range(nb):
-            parts = fp.readline().split()
-            edges.append([int(parts[0]), int(parts[1])])
-            angles.append(float(parts[2]))
-    return Mesh(vertices, triangles, np.array(edges), np.array(angles))
+
+    def section(first: int, count: int, kinds) -> list:
+        rows = []
+        for index in range(first, first + count):
+            try:
+                rows.append([kind(c) for kind, c in zip(kinds, lines[index].split(), strict=True)])
+            except ValueError:
+                raise ValueError(
+                    f"{path}, line {index + 1}: malformed row {lines[index]!r}"
+                ) from None
+        return rows
+
+    vertices = section(1, nv, (float, float))
+    triangles = section(1 + nv, nt, (int, int, int))
+    boundary = section(1 + nv + nt, nb, (int, int, float))
+    return Mesh(
+        np.array(vertices, dtype=np.float64).reshape(nv, 2),
+        np.array(triangles, dtype=np.int64).reshape(nt, 3),
+        np.array([row[:2] for row in boundary], dtype=np.int64).reshape(nb, 2),
+        np.array([row[2] for row in boundary], dtype=np.float64),
+    )
 
 
 def write_field_vtk(path, field: NodalField, name: str = "value") -> None:
     """Legacy-VTK unstructured grid with one point scalar, for viewers."""
+    field.check_single("a field written to VTK")
     mesh = field.mesh
     nt = mesh.num_triangles
     with open(path, "w") as fp:
@@ -138,13 +165,6 @@ def write_iteration_log(path, log: IterationLog) -> None:
             zip(log.residuals, log.omegas, log.rel_errors)
         ):
             fp.write(f"{k},{_fmt(res)},{_fmt(om)},{_fmt(err)}\n")
-
-
-def read_iteration_log(path):
-    """Return the (k, residual, omega, rel_error) columns as arrays."""
-    rows = np.genfromtxt(path, delimiter=",", skip_header=1)
-    rows = np.atleast_2d(rows)
-    return rows[:, 0].astype(int), rows[:, 1], rows[:, 2], rows[:, 3]
 
 
 def write_singular_values(path, values: np.ndarray) -> None:

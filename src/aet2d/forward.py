@@ -25,7 +25,7 @@ from scipy import sparse
 
 from . import fem
 from .fem import NodalField, ZeroMeanSolver, assemble_boundary_load, assemble_stiffness
-from .mesh import FULL_CIRCLE, BoundaryArc, Mesh, generate_disk_mesh, interpolate
+from .mesh import FULL_CIRCLE, BoundaryArc, Mesh, generate_disk_mesh, interpolate, rowwise
 from .phantom import PhantomSpec, phantom_field
 
 FAMILIES = ("trig_limited", "special_full")
@@ -110,19 +110,20 @@ class MeasurementSet:
 class ForwardState:
     """Potentials and power densities for one conductivity.
 
-    Also carries the pieces that the sensitivity computations reuse: the
-    factorized zero-mean solver for K(sigma), the per-triangle
-    conductivity, the per-triangle potential gradients, and the pairing
-    transposes derived from them.
+    Both are (M, V) stacks, one row per measurement. Also carries the
+    pieces that the sensitivity computations reuse: the factorized
+    zero-mean solver for K(sigma), the per-triangle conductivity, the
+    per-triangle potential gradients, and the pairing transposes derived
+    from them.
     """
 
     sigma: NodalField
-    potentials: list[NodalField]
-    power_densities: list[NodalField]
+    potentials: NodalField
+    power_densities: NodalField
     solver: ZeroMeanSolver = field(repr=False)
     sigma_tri: np.ndarray = field(repr=False)
-    grad_u: list[np.ndarray] = field(repr=False)  # per measurement, (T, 2)
-    grad_sq: list[np.ndarray] = field(repr=False)  # per measurement, (T,)
+    grad_u: np.ndarray = field(repr=False)  # (M, T, 2)
+    grad_sq: np.ndarray = field(repr=False)  # (M, T)
 
     @cached_property
     def pairing_t(self) -> list[sparse.csc_matrix]:
@@ -143,34 +144,26 @@ class ForwardState:
 
     @property
     def num_measurements(self) -> int:
-        return len(self.potentials)
+        return self.grad_sq.shape[0]
 
 
 def project_to_vertices(mesh: Mesh, tri_values: np.ndarray) -> np.ndarray:
-    """Area-weighted average of per-triangle values over incident triangles."""
-    w = mesh.incidence_t @ (tri_values * mesh.triangle_areas)
-    return w / mesh.vertex_patch_areas
+    """Area-weighted average of per-triangle values over incident triangles.
+
+    ``tri_values`` is (T,) or an (M, T) stack, projected row by row.
+    """
+    return rowwise(mesh.incidence_t, tri_values * mesh.triangle_areas) / mesh.vertex_patch_areas
 
 
 def pullback_to_triangles(mesh: Mesh, vertex_dual: np.ndarray) -> np.ndarray:
     """Transpose of ``project_to_vertices`` (vertex functional -> triangles)."""
-    scaled = vertex_dual / mesh.vertex_patch_areas
-    return (mesh.incidence @ scaled) * mesh.triangle_areas
+    return rowwise(mesh.incidence, vertex_dual / mesh.vertex_patch_areas) * mesh.triangle_areas
 
 
 def gradient_on_triangles(mesh: Mesh, values: np.ndarray) -> np.ndarray:
-    """(T, 2) piecewise-constant gradient of a nodal field."""
-    return (mesh.gradient_operator @ values).reshape(mesh.num_triangles, 2)
-
-
-def power_density(sigma: NodalField, u: NodalField) -> NodalField:
-    """Power density sigma * |grad u|^2 as a vertex field (nonnegative)."""
-    mesh = sigma.mesh
-    grad = gradient_on_triangles(mesh, u.values)
-    tri_vals = fem.triangle_average(mesh, sigma.values) * np.einsum(
-        "td,td->t", grad, grad
-    )
-    return NodalField(mesh, project_to_vertices(mesh, tri_vals))
+    """(T, 2) piecewise-constant gradient of a nodal field, (M, T, 2) of a stack."""
+    grad = rowwise(mesh.gradient_operator, values)
+    return grad.reshape(values.shape[:-1] + (mesh.num_triangles, 2))
 
 
 def measurement_loads(mesh: Mesh, ms: MeasurementSet) -> np.ndarray:
@@ -195,33 +188,27 @@ def solve_measurement_set(
 
     One factorization of K(sigma) is shared by every measurement; the
     loads are solved as a single multi-RHS back-substitution. Callers
-    looping over conductivities can precompute ``loads`` once.
+    looping over conductivities can precompute ``loads`` once. The power
+    density of measurement j is sigma |grad u_j|^2 per triangle,
+    projected to the vertices.
     """
     mesh = sigma.mesh
     K = assemble_stiffness(mesh, sigma, sigma_floor)
     solver = ZeroMeanSolver(K, mesh)
     if loads is None:
         loads = measurement_loads(mesh, ms)
-    sols = solver.solve(loads)
+    potentials = solver.solve(loads).T
     sigma_tri = fem.triangle_average(mesh, sigma.values)
-
-    potentials, densities, grads, grads_sq = [], [], [], []
-    for col in range(sols.shape[1]):
-        u = sols[:, col]
-        g = gradient_on_triangles(mesh, u)
-        gsq = np.einsum("td,td->t", g, g)
-        potentials.append(NodalField(mesh, u))
-        densities.append(NodalField(mesh, project_to_vertices(mesh, sigma_tri * gsq)))
-        grads.append(g)
-        grads_sq.append(gsq)
+    grad_u = gradient_on_triangles(mesh, potentials)
+    grad_sq = np.einsum("mtd,mtd->mt", grad_u, grad_u)
     return ForwardState(
         sigma=sigma,
-        potentials=potentials,
-        power_densities=densities,
+        potentials=NodalField(mesh, potentials),
+        power_densities=NodalField(mesh, project_to_vertices(mesh, sigma_tri * grad_sq)),
         solver=solver,
         sigma_tri=sigma_tri,
-        grad_u=grads,
-        grad_sq=grads_sq,
+        grad_u=grad_u,
+        grad_sq=grad_sq,
     )
 
 
@@ -237,14 +224,6 @@ def determinant_diagnostic(u1: NodalField, u2: NodalField):
     g2 = gradient_on_triangles(u2.mesh, u2.values)
     det = g1[:, 0] * g2[:, 1] - g1[:, 1] * g2[:, 0]
     return det, float(np.min(np.abs(det)))
-
-
-def stack_fields(fields: list[NodalField]) -> np.ndarray:
-    return np.stack([f.values for f in fields])
-
-
-def unstack_fields(mesh: Mesh, values: np.ndarray) -> list[NodalField]:
-    return [NodalField(mesh, row) for row in values]
 
 
 def simulate_data(
@@ -263,8 +242,8 @@ def simulate_data(
 
     Returns
     -------
-    data : list of NodalField
-        Power densities on the reconstruction mesh.
+    data : NodalField
+        (M, V) stack of power densities on the reconstruction mesh.
     fine_state : ForwardState
         The fine-mesh forward solution (reusable across arcs).
     """
@@ -272,7 +251,5 @@ def simulate_data(
         fine_mesh = generate_disk_mesh(fine_vertex_count)
     sigma_fine = phantom_field(spec, fine_mesh)
     state = solve_measurement_set(sigma_fine, ms, sigma_floor)
-    fine_stack = np.column_stack([e.values for e in state.power_densities])
-    values = interpolate(fine_mesh, fine_stack, recon_mesh.vertices)
-    data = [NodalField(recon_mesh, column) for column in np.ascontiguousarray(values.T)]
-    return data, state
+    values = interpolate(fine_mesh, state.power_densities.values.T, recon_mesh.vertices)
+    return NodalField(recon_mesh, values.T), state

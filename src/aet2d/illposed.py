@@ -77,7 +77,7 @@ class SvdReport:
     singular_values: np.ndarray
     condition_number: float
     vector_indices: tuple[int, ...]
-    vectors: list[NodalField]
+    vectors: tuple[NodalField, ...]
 
     def __post_init__(self):
         s = self.singular_values
@@ -163,7 +163,7 @@ def svd_analyze(
         singular_values=s,
         condition_number=float(kept[0] / kept[-1]),
         vector_indices=tuple(indices),
-        vectors=vectors,
+        vectors=tuple(vectors),
     )
 
 

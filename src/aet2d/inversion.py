@@ -24,14 +24,7 @@ from .fem import (
     assemble_mass,
     l2_norm,
 )
-from .forward import (
-    ForwardState,
-    MeasurementSet,
-    measurement_loads,
-    solve_measurement_set,
-    stack_fields,
-    unstack_fields,
-)
+from .forward import ForwardState, MeasurementSet, measurement_loads, solve_measurement_set
 from .sensitivity import adjoint_apply, derivative_apply
 
 STOP_REASONS = ("discrepancy", "max_iter", "zero_gradient", "stagnation")
@@ -89,28 +82,28 @@ class IterationLog:
         return len(self.residuals) - 1
 
 
-def add_noise(data: list[NodalField], delta_rel: float, seed: int):
-    """Perturb a data stack with normalized Gaussian noise.
+def add_noise(data: NodalField, delta_rel: float, seed: int):
+    """Perturb an (M, V) data stack with normalized Gaussian noise.
 
     The perturbation direction is standard normal over all stacked
     coefficients and rescaled so that the stacked mass-weighted data norm
     of the perturbation is exactly delta_rel * |data|. Returns the noisy
-    fields and the absolute noise level delta_rel * |data|.
+    stack and the absolute noise level delta_rel * |data|.
     """
     if delta_rel < 0.0:
         raise ValueError("delta_rel must be >= 0")
-    mesh = data[0].mesh
+    mesh = data.mesh
     if delta_rel == 0.0:
-        return [NodalField(mesh, f.values.copy()) for f in data], 0.0
+        return NodalField(mesh, data.values.copy()), 0.0
     mass = assemble_mass(mesh)
-    values = stack_fields(data)
+    values = data.values
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(values.shape)
     data_scale = np.sqrt(sum(l2_norm(mass, row) ** 2 for row in values))
     noise_scale = np.sqrt(sum(l2_norm(mass, row) ** 2 for row in noise))
     delta_abs = delta_rel * data_scale
     noisy = values + delta_abs * noise / noise_scale
-    return unstack_fields(mesh, noisy), float(delta_abs)
+    return NodalField(mesh, noisy), float(delta_abs)
 
 
 class _Stop(Exception):
@@ -125,13 +118,13 @@ class _Iterate(NamedTuple):
     """A conductivity's forward solve, data residual and residual norm."""
 
     state: ForwardState
-    residual: list[NodalField]
+    residual: NodalField
     res_norm: float
 
 
-def _data_norm_sq(mass, fields: list[NodalField]) -> float:
+def _data_norm_sq(mass, stack: NodalField) -> float:
     """Stacked mass-weighted data norm, squared."""
-    return sum(float(f.values @ (mass @ f.values)) for f in fields)
+    return sum(float(row @ (mass @ row)) for row in stack.values)
 
 
 def _descent_step(
@@ -173,7 +166,7 @@ def _descent_step(
 
 def run_landweber(
     config: ReconstructionConfig,
-    noisy_data: list[NodalField],
+    noisy_data: NodalField,
     delta_abs: float,
     ms: MeasurementSet,
     truth: NodalField | None = None,
@@ -185,19 +178,22 @@ def run_landweber(
     ``max_iter``), the iteration budget is exhausted, the gradient
     vanishes, or the safeguard cannot find a non-increasing step.
 
-    Returns the final conductivity and the iteration log.
+    ``noisy_data`` is the (M, V) stack of measured power densities, one
+    row per current of ``ms``. Returns the final conductivity and the
+    iteration log.
     """
-    mesh = noisy_data[0].mesh
+    mesh = noisy_data.mesh
+    if noisy_data.values.shape != (len(ms), mesh.num_vertices):
+        raise ValueError(
+            f"expected a data stack of shape {(len(ms), mesh.num_vertices)}, "
+            f"got {noisy_data.values.shape}"
+        )
     gram = GramSolver(mesh, config.spec)
-    data_values = stack_fields(noisy_data)
     loads = measurement_loads(mesh, ms)
 
     def evaluate(sigma: NodalField) -> _Iterate:
         state = solve_measurement_set(sigma, ms, config.sigma_floor, loads=loads)
-        residual = [
-            NodalField(mesh, data_values[j] - state.power_densities[j].values)
-            for j in range(state.num_measurements)
-        ]
+        residual = NodalField(mesh, noisy_data.values - state.power_densities.values)
         return _Iterate(state, residual, float(np.sqrt(_data_norm_sq(gram.mass, residual))))
 
     truth_norm = l2_norm(gram.mass, truth.values) if truth is not None else None

@@ -32,10 +32,6 @@ class BoundaryArc:
         if not 0.0 < self.alpha <= TWO_PI:
             raise ValueError(f"arc angle must lie in (0, 2*pi], got {self.alpha}")
 
-    @property
-    def is_full_circle(self) -> bool:
-        return self.alpha >= TWO_PI
-
 
 FULL_CIRCLE = BoundaryArc(TWO_PI)
 
@@ -156,10 +152,6 @@ class Mesh:
         return w
 
     @cached_property
-    def total_area(self) -> float:
-        return float(self.triangle_areas.sum())
-
-    @cached_property
     def _corner_indptr(self) -> np.ndarray:
         """(T+1,) int32 row pointer of a (T, *) matrix with 3 entries per row."""
         ptr = np.arange(0, 3 * self.num_triangles + 1, 3, dtype=np.int32)
@@ -257,6 +249,16 @@ class Mesh:
             )
             angles.append(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))))
         return float(np.min(angles))
+
+
+def rowwise(op: sparse.spmatrix, values: np.ndarray) -> np.ndarray:
+    """``op`` applied to one vector (n,) or to each row of an (M, n) stack.
+
+    A stack takes one sparse product with M columns, which sums each
+    entry in the same order as the product with that row alone. The
+    result is C-contiguous.
+    """
+    return np.ascontiguousarray((op @ values.T).T)
 
 
 def _ring_layout(target_vertex_count: int) -> list[int]:

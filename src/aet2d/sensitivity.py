@@ -30,52 +30,35 @@ from .forward import (
     project_to_vertices,
     pullback_to_triangles,
 )
+from .mesh import rowwise
 
 
-def _directional_pairing(state: ForwardState, j: int, values: np.ndarray) -> np.ndarray:
-    """(T,) pairing grad(u_j) . grad(field) per triangle."""
+def _directional_pairing(state: ForwardState, columns: np.ndarray) -> np.ndarray:
+    """(M, T) pairings grad(u_j) . grad(v_j) per triangle, v_j column j of (V, M) columns."""
     return np.einsum(
-        "td,td->t", state.grad_u[j], gradient_on_triangles(state.mesh, values)
+        "mtd,mtd->mt", state.grad_u, gradient_on_triangles(state.mesh, columns.T)
     )
 
 
-def _directional_pairing_t(state: ForwardState, j: int, tri_values: np.ndarray) -> np.ndarray:
-    """Transpose of ``_directional_pairing``: triangle weights -> vertex vector.
-
-    Component i is sum_T w_T (grad u_j . grad phi_i)_T.
-    """
-    return state.pairing_t[j] @ tri_values
-
-
-def derivative_apply(state: ForwardState, h: NodalField) -> list[NodalField]:
-    """Directional derivative of the forward map: one field per measurement.
+def derivative_apply(state: ForwardState, h: NodalField) -> NodalField:
+    """Directional derivative of the forward map: an (M, V) stack of fields.
 
     Per triangle the perturbation is h |grad u_j|^2 + 2 sigma grad u_j .
     grad(u'_j), projected to vertices like the power density itself. The
     linearized solves for all measurements share one back-substitution.
     """
+    h.check_single("the direction h")
     mesh = state.mesh
     h_tri = triangle_average(mesh, h.values)
-    rhs = np.column_stack(
-        [
-            -_directional_pairing_t(state, j, h_tri * mesh.triangle_areas)
-            for j in range(state.num_measurements)
-        ]
-    )
+    weights = h_tri * mesh.triangle_areas
+    rhs = -np.column_stack([pairing @ weights for pairing in state.pairing_t])
     uprime = state.solver.solve(rhs)
-    out = []
-    for j in range(state.num_measurements):
-        tri = state.grad_sq[j] * h_tri + 2.0 * state.sigma_tri * _directional_pairing(
-            state, j, uprime[:, j]
-        )
-        out.append(NodalField(mesh, project_to_vertices(mesh, tri)))
-    return out
+    tri = state.grad_sq * h_tri + 2.0 * state.sigma_tri * _directional_pairing(state, uprime)
+    return NodalField(mesh, project_to_vertices(mesh, tri))
 
 
-def adjoint_apply(
-    state: ForwardState, w: list[NodalField], gram: GramSolver
-) -> NodalField:
-    """Adjoint of ``derivative_apply`` applied to a stack of data fields.
+def adjoint_apply(state: ForwardState, w: NodalField, gram: GramSolver) -> NodalField:
+    """Adjoint of ``derivative_apply`` applied to an (M, V) stack of data fields.
 
     Exact transpose of the discrete derivative: data fields are pulled
     back to triangles through the mass-weighted vertex projection, the
@@ -84,26 +67,16 @@ def adjoint_apply(
     selected by ``gram`` (for the L2 inner product this reduces to a
     mass solve, i.e. the plain L2 adjoint with no extra smoothing).
     """
-    if len(w) != state.num_measurements:
-        raise ValueError(
-            f"expected {state.num_measurements} data fields, got {len(w)}"
-        )
+    expected = (state.num_measurements, state.mesh.num_vertices)
+    if w.values.shape != expected:
+        raise ValueError(f"expected a data stack of shape {expected}, got {w.values.shape}")
     mesh = state.mesh
-    q = [
-        pullback_to_triangles(mesh, gram.mass @ w[j].values)
-        for j in range(state.num_measurements)
-    ]
-    rhs = np.column_stack(
-        [
-            _directional_pairing_t(state, j, state.sigma_tri * q[j])
-            for j in range(state.num_measurements)
-        ]
-    )
+    q = pullback_to_triangles(mesh, rowwise(gram.mass, w.values))
+    weights = state.sigma_tri * q
+    rhs = np.column_stack([pairing @ wj for pairing, wj in zip(state.pairing_t, weights)])
     z = state.solver.solve(rhs)
+    tri = state.grad_sq * q - 2.0 * mesh.triangle_areas * _directional_pairing(state, z)
     dual = np.zeros(mesh.num_vertices)
-    for j in range(state.num_measurements):
-        tri = state.grad_sq[j] * q[j] - 2.0 * mesh.triangle_areas * _directional_pairing(
-            state, j, z[:, j]
-        )
-        dual += triangle_average_t(mesh, tri)
+    for functional in triangle_average_t(mesh, tri):
+        dual += functional
     return NodalField(mesh, gram.solve_dual(dual))

@@ -1,8 +1,10 @@
-"""Matrix-free references of the linearization, for cross-checks in tests.
+"""Matrix-free references of the forward map and its linearization, and
+a reader of the iteration log, for cross-checks in tests.
 
+``power_density`` evaluates sigma |grad u|^2 for a given potential u.
 ``linearized_potential`` solves for one measurement's potential
 perturbation on its own, and ``derivative_pairing`` pairs the derivative
-with the nodal data basis triangle by triangle. Neither assembles a
+with the nodal data basis triangle by triangle. None of them assembles a
 matrix, so they check the transfer matrix and the derivative
 independently of how the package forms them.
 """
@@ -10,7 +12,21 @@ independently of how the package forms them.
 import numpy as np
 
 from aet2d.fem import NodalField, _MASS_BASE, triangle_average
-from aet2d.forward import ForwardState, gradient_on_triangles
+from aet2d.forward import ForwardState, gradient_on_triangles, project_to_vertices
+
+
+def power_density(sigma: NodalField, u: NodalField) -> NodalField:
+    """Power density sigma * |grad u|^2 of one potential, as a vertex field."""
+    mesh = sigma.mesh
+    grad = gradient_on_triangles(mesh, u.values)
+    tri_vals = triangle_average(mesh, sigma.values) * np.einsum("td,td->t", grad, grad)
+    return NodalField(mesh, project_to_vertices(mesh, tri_vals))
+
+
+def read_iteration_log(path):
+    """Return the (k, residual, omega, rel_error) columns of an iteration log."""
+    rows = np.atleast_2d(np.genfromtxt(path, delimiter=",", skip_header=1))
+    return rows[:, 0].astype(int), rows[:, 1], rows[:, 2], rows[:, 3]
 
 
 def linearized_potential(state: ForwardState, j: int, h: NodalField) -> NodalField:

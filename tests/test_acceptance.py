@@ -17,7 +17,6 @@ from aet2d.forward import (
     determinant_diagnostic,
     simulate_data,
     solve_measurement_set,
-    stack_fields,
 )
 from aet2d.illposed import condition_table
 from aet2d.inversion import ReconstructionConfig, add_noise, run_landweber
@@ -112,22 +111,15 @@ def test_criterion_1_adjoint_identity(mesh500, rng):
             for name, gram in grams.items():
                 for _ in range(20):
                     h = NodalField(mesh500, rng.standard_normal(mesh500.num_vertices))
-                    w = [
-                        NodalField(mesh500, rng.standard_normal(mesh500.num_vertices))
-                        for _ in range(m_count)
-                    ]
-                    fh = derivative_apply(state, h)
+                    w = NodalField(
+                        mesh500, rng.standard_normal((m_count, mesh500.num_vertices))
+                    )
+                    fh = derivative_apply(state, h).values
                     fstar = adjoint_apply(state, w, gram)
-                    lhs = sum(
-                        f.values @ (gram.mass @ wj.values) for f, wj in zip(fh, w)
-                    )
+                    lhs = sum(f @ (gram.mass @ wj) for f, wj in zip(fh, w.values))
                     rhs = gram.inner(h.values, fstar.values)
-                    fh_norm = math.sqrt(
-                        sum(f.values @ (gram.mass @ f.values) for f in fh)
-                    )
-                    w_norm = math.sqrt(
-                        sum(wj.values @ (gram.mass @ wj.values) for wj in w)
-                    )
+                    fh_norm = math.sqrt(sum(f @ (gram.mass @ f) for f in fh))
+                    w_norm = math.sqrt(sum(wj @ (gram.mass @ wj) for wj in w.values))
                     rel = abs(lhs - rhs) / (fh_norm * w_norm)
                     if rel > worst:
                         worst, worst_at = rel, (alpha, m_count, name)
@@ -148,13 +140,13 @@ def test_criterion_2_taylor_slope():
     h = 0.1 * h / np.abs(h).max()
     hf = NodalField(mesh, h)
     mass = assemble_mass(mesh)
-    f0 = stack_fields(state.power_densities)
-    df = stack_fields(derivative_apply(state, hf))
+    f0 = state.power_densities.values
+    df = derivative_apply(state, hf).values
     eps_values = np.array([1e-1, 1e-2, 1e-3, 1e-4])
     remainders = []
     for eps in eps_values:
         pert = NodalField(mesh, sigma0.values + eps * h)
-        f_eps = stack_fields(solve_measurement_set(pert, ms).power_densities)
+        f_eps = solve_measurement_set(pert, ms).power_densities.values
         r = f_eps - f0 - eps * df
         remainders.append(math.sqrt(sum(l2_norm(mass, row) ** 2 for row in r)))
     slope = float(np.polyfit(np.log(eps_values), np.log(remainders), 1)[0])
@@ -177,8 +169,8 @@ def test_criterion_3_analytic_forward_oracle(mesh2000):
                 NodalField.constant(mesh, c), MeasurementSet.special()
             )
             ref = np.full(mesh.num_vertices, 1.0 / c)
-            for e in state.power_densities:
-                rel = l2_norm(mass, e.values - ref) / l2_norm(mass, ref)
+            for e in state.power_densities.values:
+                rel = l2_norm(mass, e - ref) / l2_norm(mass, ref)
                 worst[target] = max(worst[target], rel)
     ok = all(worst[t] <= tol for t, tol in tolerances.items())
     record(
@@ -193,7 +185,8 @@ def test_criterion_4_determinant_diagnostic(mesh2000):
     state = solve_measurement_set(
         NodalField.constant(mesh2000, 1.0), MeasurementSet.special((1, 2))
     )
-    det, dmin = determinant_diagnostic(state.potentials[0], state.potentials[1])
+    u1, u2 = (NodalField(mesh2000, u) for u in state.potentials.values)
+    det, dmin = determinant_diagnostic(u1, u2)
     within = np.max(np.abs(det + 1.0))
     record(
         within <= 0.1 and dmin >= 0.9,

@@ -7,6 +7,7 @@ import pytest
 from aet2d import fileio
 from aet2d.cli import CliError, main, parse_angle
 from aet2d.mesh import generate_disk_mesh
+from reference import read_iteration_log
 
 
 def run_cli(*args):
@@ -194,7 +195,7 @@ def test_reconstruct_command(sim_dir, tmp_path):
     assert summary["stop_reason"] == "discrepancy"
     assert summary["discrepancy_reached"] == "true"
     assert float(summary["final_residual"]) <= float(info["delta_abs"])
-    k, res, om, err = fileio.read_iteration_log(out / "iterations.csv")
+    k, res, om, err = read_iteration_log(out / "iterations.csv")
     assert np.all(np.diff(res) <= 1e-14)
     assert (out / "reconstruction.csv").exists()
     assert (out / "reconstruction.vtk").exists()
@@ -224,7 +225,7 @@ def test_reconstruct_noise_free_reduces_error(tmp_path, sim_dir, capsys):
     summary = fileio.read_key_values(out / "reconstruct_summary.txt", "reconstruct_summary")
     assert summary["stop_reason"] == "max_iter"
     assert summary["discrepancy_reached"] == "false"
-    _, _, _, err = fileio.read_iteration_log(out / "iterations.csv")
+    _, _, _, err = read_iteration_log(out / "iterations.csv")
     assert err[-1] < err[0]
     # noise-free: no discrepancy was asked for, so no warning
     assert "warning" not in capsys.readouterr().err
@@ -240,6 +241,25 @@ def test_reconstruct_noise_free_reduces_error(tmp_path, sim_dir, capsys):
     assert summary["discrepancy_reached"] == "false"
     err_text = capsys.readouterr().err
     assert "warning: noisy run stopped by max_iter" in err_text
+
+
+def test_reconstruct_rejects_a_mesh_that_differs(sim_dir, tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    for path in sim_dir.iterdir():
+        (data / path.name).write_bytes(path.read_bytes())
+    lines = (data / "mesh.txt").read_text().splitlines(keepends=True)
+    x, y = lines[5].split()
+    lines[5] = f"{x} {float(y) + 1e-15!r}\n"
+    (data / "mesh.txt").write_text("".join(lines))
+    code = run_cli("reconstruct", "--data", data, "--out", tmp_path / "r", "--max-iter", 1)
+    assert code == 2
+    assert "mesh.txt differs from the mesh that mesh_vertices = 400 generates" in (
+        capsys.readouterr().err
+    )
+    (data / "mesh.txt").write_text("".join(lines[:-1]))
+    assert run_cli("reconstruct", "--data", data, "--out", tmp_path / "r") == 2
+    assert "mesh.txt, line" in capsys.readouterr().err
 
 
 def test_reconstruct_requires_data(tmp_path, capsys):

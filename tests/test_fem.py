@@ -132,7 +132,7 @@ def test_stiffness_rejects_inadmissible(mesh500):
 def test_mass_partition_of_unity(mesh500):
     m = assemble_mass(mesh500)
     ones = np.ones(mesh500.num_vertices)
-    assert abs(ones @ (m @ ones) - mesh500.total_area) <= 1e-12
+    assert abs(ones @ (m @ ones) - mesh500.triangle_areas.sum()) <= 1e-12
     assert np.max(np.abs((m - m.T).toarray())) <= 1e-12
 
 
@@ -192,7 +192,8 @@ def test_neumann_solve_zero_mean_and_residual(mesh500, rng):
     b = assemble_boundary_load(mesh500, np.sin, FULL)
     solver = ZeroMeanSolver(k, mesh500)
     u, lam = solver.solve_with_multiplier(b)
-    assert abs(solver.mean_row @ u) <= 1e-10 * np.linalg.norm(u) * mesh500.total_area
+    area = mesh500.triangle_areas.sum()
+    assert abs(solver.mean_row @ u) <= 1e-10 * np.linalg.norm(u) * area
     assert np.linalg.norm(k @ u + lam * solver.mean_row - b) <= 1e-10 * np.linalg.norm(b)
 
 
@@ -221,7 +222,7 @@ def _assert_matches_bordered(solver, k, mesh, b):
     assert np.max(np.abs(u - u_ref)) <= 1e-12 * np.max(np.abs(u_ref))
     # lam is measured against the flux scale sum|b| / |Omega|; it vanishes
     # for compatible loads, where a plain relative error is meaningless.
-    lam_scale = np.abs(cols).sum(axis=0) / mesh.total_area
+    lam_scale = np.abs(cols).sum(axis=0) / mesh.triangle_areas.sum()
     assert np.all(np.abs(np.atleast_1d(lam) - lam_ref) <= 1e-12 * lam_scale)
     return lam
 
@@ -243,7 +244,7 @@ def test_zero_mean_solver_matches_bordered_closure(mesh500):
             mesh500, lambda th: np.ones_like(th), BoundaryArc(math.pi / 2)
         )
     lam = _assert_matches_bordered(solver, k, mesh500, flux)
-    assert lam == pytest.approx(flux.sum() / mesh500.total_area, rel=1e-12)
+    assert lam == pytest.approx(flux.sum() / mesh500.triangle_areas.sum(), rel=1e-12)
 
 
 def test_zero_mean_solver_refactorization_is_bitwise(mesh500):
@@ -298,7 +299,7 @@ def test_gram_constant_field(mesh500):
     spec = InnerProductSpec.h2_beta(2.0, 1e-3, 1e-6)
     g = gram_matrix(mesh500, spec)
     c = 0.7 * np.ones(mesh500.num_vertices)
-    assert abs(c @ (g @ c) -  2.0 * 0.49 * mesh500.total_area) <= 1e-10
+    assert abs(c @ (g @ c) -  2.0 * 0.49 * mesh500.triangle_areas.sum()) <= 1e-10
 
 
 def test_gram_positive_definite_power_iteration(mesh500, rng):

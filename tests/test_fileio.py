@@ -5,6 +5,7 @@ from aet2d import fileio
 from aet2d.fem import NodalField
 from aet2d.inversion import IterationLog
 from aet2d.mesh import generate_disk_mesh
+from reference import read_iteration_log
 
 
 def test_field_csv_roundtrip_bit_exact(mesh200, rng, tmp_path):
@@ -72,6 +73,48 @@ def test_mesh_roundtrip(tmp_path):
     assert np.array_equal(again.boundary_edge_angles, mesh.boundary_edge_angles)
 
 
+def _mesh_lines(tmp_path):
+    path = tmp_path / "mesh.txt"
+    fileio.write_mesh(path, generate_disk_mesh(40))
+    return path, path.read_text().splitlines(keepends=True)
+
+
+def test_mesh_truncated(tmp_path):
+    path, lines = _mesh_lines(tmp_path)
+    for keep in (len(lines) - 1, 5, 1):  # in the boundary, vertex and header sections
+        path.write_text("".join(lines[:keep]))
+        with pytest.raises(ValueError, match=rf"mesh\.txt, line {keep + 1}: the file has {keep} "):
+            fileio.read_mesh(path)
+    path.write_text("")
+    with pytest.raises(ValueError, match=r"mesh\.txt, line 1: malformed mesh header"):
+        fileio.read_mesh(path)
+
+
+def test_mesh_malformed(tmp_path):
+    path, lines = _mesh_lines(tmp_path)
+    nv = int(lines[0].split()[1])
+    for index, bad in ((3, "0.5\n"), (nv + 2, "1 2 x\n"), (len(lines) - 1, "1 2\n")):
+        broken = lines.copy()
+        broken[index] = bad
+        path.write_text("".join(broken))
+        with pytest.raises(ValueError, match=rf"mesh\.txt, line {index + 1}: malformed row"):
+            fileio.read_mesh(path)
+    for header in ("vertices 3 triangles 1\n", "vertices x triangles 1 boundary_edges 3\n"):
+        path.write_text(header + "".join(lines[1:]))
+        with pytest.raises(ValueError, match=r"mesh\.txt, line 1: malformed mesh header"):
+            fileio.read_mesh(path)
+    path.write_text("".join(lines) + "0 1 0.5\n")
+    with pytest.raises(ValueError, match=rf"mesh\.txt, line {len(lines) + 1}: the file has"):
+        fileio.read_mesh(path)
+
+
+def test_single_field_writers_reject_a_stack(mesh200, tmp_path):
+    stack = NodalField(mesh200, np.zeros((2, mesh200.num_vertices)))
+    for write in (fileio.write_field_csv, fileio.write_field_vtk):
+        with pytest.raises(ValueError, match="must be a single field"):
+            write(tmp_path / "stack.txt", stack)
+
+
 def test_vtk_export(mesh200, tmp_path):
     field = NodalField(mesh200, np.linspace(0.0, 1.0, mesh200.num_vertices))
     path = tmp_path / "field.vtk"
@@ -93,7 +136,7 @@ def test_iteration_log_roundtrip(tmp_path):
     )
     path = tmp_path / "log.csv"
     fileio.write_iteration_log(path, log)
-    k, res, om, err = fileio.read_iteration_log(path)
+    k, res, om, err = read_iteration_log(path)
     assert np.array_equal(k, [0, 1, 2])
     assert np.array_equal(res, log.residuals)
     assert np.array_equal(om, log.omegas, equal_nan=True)

@@ -3,27 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from aet2d.fem import (
-    NodalField,
-    ZeroMeanSolver,
-    assemble_boundary_load,
-    assemble_mass,
-    assemble_stiffness,
-    l2_norm,
-)
+from aet2d.fem import NodalField, assemble_boundary_load, assemble_mass, l2_norm
 from aet2d.forward import (
     BoundaryCurrent,
     MeasurementSet,
     boundary_current_eval,
     determinant_diagnostic,
-    power_density,
     simulate_data,
     solve_measurement_set,
-    stack_fields,
-    unstack_fields,
 )
 from aet2d.mesh import FULL_CIRCLE, BoundaryArc
 from aet2d.phantom import default_phantom, phantom_field
+from reference import power_density
 
 
 def test_trig_current_values():
@@ -70,8 +61,8 @@ def test_special_potentials_match_linear_solutions(mesh2000):
     m = assemble_mass(mesh2000)
     x, y = mesh2000.vertices[:, 0], mesh2000.vertices[:, 1]
     exact = [y, x, (x + y) / math.sqrt(2.0)]
-    for u, ref in zip(state.potentials, exact):
-        assert l2_norm(m, u.values - ref) / l2_norm(m, ref) <= 0.02
+    for u, ref in zip(state.potentials.values, exact):
+        assert l2_norm(m, u - ref) / l2_norm(m, ref) <= 0.02
 
 
 def test_constant_sigma_power_density(mesh500):
@@ -80,19 +71,21 @@ def test_constant_sigma_power_density(mesh500):
         state = solve_measurement_set(
             NodalField.constant(mesh500, c), MeasurementSet.special()
         )
-        for e in state.power_densities:
+        for e in state.power_densities.values:
             ref = np.full(mesh500.num_vertices, 1.0 / c)
-            assert l2_norm(m, e.values - ref) / l2_norm(m, ref) <= 0.02
+            assert l2_norm(m, e - ref) / l2_norm(m, ref) <= 0.02
 
 
 def test_power_density_nonnegative(mesh500):
     sigma = phantom_field(default_phantom(), mesh500)
     state = solve_measurement_set(sigma, MeasurementSet.trig(1.5 * math.pi))
-    for e in state.power_densities:
-        assert np.all(e.values >= 0.0)
+    assert state.power_densities.values.shape == (3, mesh500.num_vertices)
+    assert np.all(state.power_densities.values >= 0.0)
 
 
 def test_power_density_exact_cases(mesh500):
+    # the density formula on exact potentials, through the package's
+    # averaging, gradient and projection maps
     sigma1 = NodalField.constant(mesh500, 1.0)
     const = NodalField.constant(mesh500, 3.7)
     assert np.max(power_density(sigma1, const).values) <= 1e-20
@@ -107,22 +100,22 @@ def test_power_density_exact_cases(mesh500):
 def test_current_scaling_squares_power(mesh500):
     # E(a*g) = a^2 E(g) by linearity of the solve
     sigma = phantom_field(default_phantom(), mesh500)
-    k = assemble_stiffness(mesh500, sigma)
     b = assemble_boundary_load(mesh500, np.sin, FULL_CIRCLE)
-    solver = ZeroMeanSolver(k, mesh500)
-    u1 = NodalField(mesh500, solver.solve(b))
-    u3 = NodalField(mesh500, solver.solve(3.0 * b))
-    e1 = power_density(sigma, u1).values
-    e3 = power_density(sigma, u3).values
+    state = solve_measurement_set(
+        sigma, MeasurementSet.special((1, 2)), loads=np.column_stack([b, 3.0 * b])
+    )
+    e1, e3 = state.power_densities.values
     assert np.allclose(e3, 9.0 * e1, rtol=1e-12, atol=1e-13)
+    u = NodalField(mesh500, state.potentials.values[0])
+    assert np.array_equal(power_density(sigma, u).values, e1)
 
 
 def test_sigma_scaling_inverts_power(mesh500):
     base = phantom_field(default_phantom(), mesh500)
     ms = MeasurementSet.trig(math.pi, (1, 2))
-    e_base = stack_fields(solve_measurement_set(base, ms).power_densities)
+    e_base = solve_measurement_set(base, ms).power_densities.values
     scaled = NodalField(mesh500, 2.0 * base.values)
-    e_scaled = stack_fields(solve_measurement_set(scaled, ms).power_densities)
+    e_scaled = solve_measurement_set(scaled, ms).power_densities.values
     assert np.allclose(e_scaled, e_base / 2.0, rtol=1e-12, atol=1e-14)
 
 
@@ -140,15 +133,25 @@ def test_determinant_special_pair(mesh2000):
     state = solve_measurement_set(
         NodalField.constant(mesh2000, 1.0), MeasurementSet.special((1, 2))
     )
-    _, dmin = determinant_diagnostic(state.potentials[0], state.potentials[1])
+    u1, u2 = (NodalField(mesh2000, u) for u in state.potentials.values)
+    _, dmin = determinant_diagnostic(u1, u2)
     assert dmin >= 0.9
 
 
 def test_stack_roundtrip(mesh200, rng):
-    fields = [NodalField(mesh200, rng.standard_normal(mesh200.num_vertices)) for _ in range(3)]
-    again = unstack_fields(mesh200, stack_fields(fields))
-    for a, b in zip(fields, again):
-        assert np.array_equal(a.values, b.values)
+    # a stack is one (M, V) C-contiguous array whose rows are the fields
+    rows = rng.standard_normal((mesh200.num_vertices, 3)).T  # Fortran order
+    stack = NodalField(mesh200, rows)
+    assert stack.values.shape == (3, mesh200.num_vertices)
+    assert stack.values.flags.c_contiguous
+    for j in range(3):
+        assert np.array_equal(NodalField(mesh200, stack.values[j]).values, rows[j])
+    v = mesh200.num_vertices
+    for bad in (np.zeros((3, v + 1)), np.zeros((2, 3, v)), np.float64(1.0)):
+        with pytest.raises(ValueError, match="coefficients per field"):
+            NodalField(mesh200, bad)
+    with pytest.raises(ValueError, match="non-finite"):
+        NodalField(mesh200, np.where(np.arange(3 * v).reshape(3, v) == 2 * v, np.nan, 0.0))
 
 
 def test_simulate_data_matches_direct_solve(mesh500, fine3000):
@@ -159,8 +162,9 @@ def test_simulate_data_matches_direct_solve(mesh500, fine3000):
     sigma = phantom_field(spec, mesh500)
     direct = solve_measurement_set(sigma, ms)
     m = assemble_mass(mesh500)
-    for interp, own in zip(data, direct.power_densities):
-        rel = l2_norm(m, interp.values - own.values) / l2_norm(m, own.values)
+    assert data.values.shape == (3, mesh500.num_vertices)
+    for interp, own in zip(data.values, direct.power_densities.values):
+        rel = l2_norm(m, interp - own) / l2_norm(m, own)
         assert rel <= 0.05  # different discretizations, same field
 
 
@@ -169,4 +173,4 @@ def test_simulate_data_deterministic(mesh200, fine3000):
     ms = MeasurementSet.trig(math.pi, (1,))
     a, _ = simulate_data(spec, ms, mesh200, fine_mesh=fine3000)
     b, _ = simulate_data(spec, ms, mesh200, fine_mesh=fine3000)
-    assert np.array_equal(stack_fields(a), stack_fields(b))
+    assert np.array_equal(a.values, b.values)

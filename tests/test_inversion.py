@@ -5,7 +5,7 @@ import pytest
 
 from aet2d import inversion
 from aet2d.fem import GramSolver, InnerProductSpec, NodalField, assemble_mass, l2_norm
-from aet2d.forward import MeasurementSet, simulate_data, solve_measurement_set, stack_fields
+from aet2d.forward import MeasurementSet, simulate_data, solve_measurement_set
 from aet2d.inversion import (
     IterationLog,
     ReconstructionConfig,
@@ -25,10 +25,10 @@ def desk_problem(mesh500, fine3000):
     return ms, data, truth
 
 
-def _mass_norm(fields):
-    """Stacked mass-weighted data norm."""
-    mass = assemble_mass(fields[0].mesh)
-    return math.sqrt(sum(l2_norm(mass, f.values) ** 2 for f in fields))
+def _mass_norm(mesh, stack):
+    """Stacked mass-weighted data norm of an (M, V) array."""
+    mass = assemble_mass(mesh)
+    return math.sqrt(sum(l2_norm(mass, row) ** 2 for row in stack))
 
 
 def _one_step(data, ms, spec, safeguard=False):
@@ -38,54 +38,48 @@ def _one_step(data, ms, spec, safeguard=False):
 
 
 def test_add_noise_zero_level(mesh200, rng):
-    data = [NodalField(mesh200, rng.standard_normal(mesh200.num_vertices))]
+    data = NodalField(mesh200, rng.standard_normal((2, mesh200.num_vertices)))
     noisy, delta = add_noise(data, 0.0, seed=5)
     assert delta == 0.0
-    assert np.array_equal(noisy[0].values, data[0].values)
-    assert noisy[0].values is not data[0].values
+    assert np.array_equal(noisy.values, data.values)
+    assert not np.shares_memory(noisy.values, data.values)
 
 
 def test_add_noise_exact_relative_level(desk_problem):
     _, data, _ = desk_problem
-    mesh = data[0].mesh
+    mesh = data.mesh
     noisy, delta = add_noise(data, 0.05, seed=11)
-    diff = [
-        NodalField(mesh, n.values - d.values) for n, d in zip(noisy, data)
-    ]
-    assert _mass_norm(diff) / _mass_norm(data) == pytest.approx(0.05, rel=1e-12)
-    assert delta == pytest.approx(0.05 * _mass_norm(data), rel=1e-12)
+    diff = noisy.values - data.values
+    data_norm = _mass_norm(mesh, data.values)
+    assert _mass_norm(mesh, diff) / data_norm == pytest.approx(0.05, rel=1e-12)
+    assert delta == pytest.approx(0.05 * data_norm, rel=1e-12)
 
 
 def test_add_noise_seed_behavior(desk_problem):
     _, data, _ = desk_problem
-    mesh = data[0].mesh
     n1, d1 = add_noise(data, 0.05, seed=1)
     n1b, _ = add_noise(data, 0.05, seed=1)
     n2, d2 = add_noise(data, 0.05, seed=2)
-    assert np.array_equal(stack_fields(n1), stack_fields(n1b))
-    assert not np.array_equal(stack_fields(n1), stack_fields(n2))
+    assert np.array_equal(n1.values, n1b.values)
+    assert not np.array_equal(n1.values, n2.values)
     assert d1 == d2  # same magnitude by construction
     for noisy in (n1, n2):
-        diff = [NodalField(mesh, a.values - b.values) for a, b in zip(noisy, data)]
-        assert _mass_norm(diff) == pytest.approx(d1, rel=1e-12)
+        assert _mass_norm(data.mesh, noisy.values - data.values) == pytest.approx(d1, rel=1e-12)
 
 
 def test_add_noise_bitwise_against_l2_gram_mass(desk_problem):
     # Reference: the same scaling with the L2 Gram solver's mass matrix;
     # the noisy data and the noise level must match to the bit.
     _, data, _ = desk_problem
-    mesh = data[0].mesh
     noisy, delta = add_noise(data, 0.05, seed=20241)
-    mass = GramSolver(mesh, InnerProductSpec.l2()).mass
-    values = stack_fields(data)
+    mass = GramSolver(data.mesh, InnerProductSpec.l2()).mass
+    values = data.values
     noise = np.random.default_rng(20241).standard_normal(values.shape)
     data_scale = np.sqrt(sum(l2_norm(mass, row) ** 2 for row in values))
     noise_scale = np.sqrt(sum(l2_norm(mass, row) ** 2 for row in noise))
     expected_delta = 0.05 * data_scale
     assert delta == expected_delta
-    assert np.array_equal(
-        stack_fields(noisy), values + expected_delta * noise / noise_scale
-    )
+    assert np.array_equal(noisy.values, values + expected_delta * noise / noise_scale)
 
 
 def test_step_zero_gradient_at_exact_data(mesh500, desk_problem):
@@ -93,8 +87,7 @@ def test_step_zero_gradient_at_exact_data(mesh500, desk_problem):
     # and so the descent direction, is exactly zero
     ms, _, _ = desk_problem
     state = solve_measurement_set(NodalField.constant(mesh500, 1.5), ms)
-    exact = [NodalField(mesh500, e.values.copy()) for e in state.power_densities]
-    sigma, log = _one_step(exact, ms, InnerProductSpec.l2(), safeguard=True)
+    sigma, log = _one_step(state.power_densities, ms, InnerProductSpec.l2(), safeguard=True)
     assert log.stop_reason == "zero_gradient"
     assert log.num_iterations == 0
     assert np.all(sigma.values == 1.5)
@@ -105,10 +98,10 @@ def test_step_update_homogeneity(mesh500, desk_problem):
     ms, _, _ = desk_problem
     sigma = NodalField.constant(mesh500, 1.5)
     state = solve_measurement_set(sigma, ms)
-    f = stack_fields(state.power_densities)
+    f = state.power_densities.values
     bump = 0.01 * np.ones_like(f)
-    data1 = [NodalField(mesh500, row) for row in f + bump]
-    data2 = [NodalField(mesh500, row) for row in f + 2.0 * bump]
+    data1 = NodalField(mesh500, f + bump)
+    data2 = NodalField(mesh500, f + 2.0 * bump)
     s1, log1 = _one_step(data1, ms, InnerProductSpec.l2())
     s2, log2 = _one_step(data2, ms, InnerProductSpec.l2())
     om1, om2 = log1.omegas[0], log2.omegas[0]
@@ -156,9 +149,10 @@ def test_landweber_stops_immediately_on_exact_data(mesh500, desk_problem):
     ms, _, truth = desk_problem
     start = NodalField.constant(mesh500, 1.5)
     state = solve_measurement_set(start, ms)
-    exact = [NodalField(mesh500, e.values.copy()) for e in state.power_densities]
     config = ReconstructionConfig(tau=1.0, max_iter=50)
-    sigma, log = run_landweber(config, exact, delta_abs=0.3, ms=ms, truth=truth)
+    sigma, log = run_landweber(
+        config, state.power_densities, delta_abs=0.3, ms=ms, truth=truth
+    )
     assert log.stop_reason == "discrepancy"
     assert log.num_iterations == 0
     assert np.all(sigma.values == 1.5)
@@ -208,6 +202,14 @@ def test_landweber_discrepancy_contract(mesh500, desk_problem):
     assert log.stop_reason == "discrepancy"
     assert log.residuals[-1] <= config.tau * delta
     assert len(log.residuals) <= config.max_iter + 1
+
+
+def test_landweber_rejects_data_that_does_not_match_the_currents(mesh500, desk_problem):
+    ms, data, _ = desk_problem
+    config = ReconstructionConfig(max_iter=1)
+    for values in (data.values[:2], data.values[0]):
+        with pytest.raises(ValueError, match="data stack of shape"):
+            run_landweber(config, NodalField(mesh500, values), 0.0, ms)
 
 
 def test_config_validation():

@@ -11,12 +11,7 @@ from aet2d.fem import (
     ZeroMeanSolver,
     l2_norm,
 )
-from aet2d.forward import (
-    MeasurementSet,
-    measurement_loads,
-    solve_measurement_set,
-    stack_fields,
-)
+from aet2d.forward import MeasurementSet, measurement_loads, solve_measurement_set
 from aet2d.inversion import ReconstructionConfig, add_noise, run_landweber
 from aet2d.mesh import generate_disk_mesh
 from aet2d.phantom import default_phantom, phantom_field
@@ -55,7 +50,7 @@ def test_linearized_potential_constant_identity(mesh500):
         NodalField.constant(mesh500, s), MeasurementSet.special((1,))
     )
     up = linearized_potential(state, 0, NodalField.constant(mesh500, c))
-    expected = -(c / s) * state.potentials[0].values
+    expected = -(c / s) * state.potentials.values[0]
     assert np.max(np.abs(up.values - expected)) <= 1e-8 * np.max(np.abs(expected))
 
 
@@ -69,7 +64,8 @@ def test_linearized_potential_linearity(phantom_state, rng):
 
 def test_derivative_zero(phantom_state):
     out = derivative_apply(phantom_state, NodalField.constant(phantom_state.mesh, 0.0))
-    assert np.all(stack_fields(out) == 0.0)
+    assert out.values.shape == (3, phantom_state.mesh.num_vertices)
+    assert np.all(out.values == 0.0)
 
 
 def test_derivative_constant_case(mesh2000):
@@ -78,17 +74,15 @@ def test_derivative_constant_case(mesh2000):
     state = solve_measurement_set(
         NodalField.constant(mesh2000, s), MeasurementSet.special((1,))
     )
-    df = derivative_apply(state, NodalField.constant(mesh2000, c))[0].values
+    df = derivative_apply(state, NodalField.constant(mesh2000, c)).values[0]
     target = -c / s**2
     assert np.max(np.abs(df - target)) <= 0.02 * abs(target)
 
 
 def test_derivative_linearity(phantom_state, rng):
     h = rng.standard_normal(phantom_state.mesh.num_vertices)
-    d1 = stack_fields(derivative_apply(phantom_state, NodalField(phantom_state.mesh, h)))
-    d2 = stack_fields(
-        derivative_apply(phantom_state, NodalField(phantom_state.mesh, 2.0 * h))
-    )
+    d1 = derivative_apply(phantom_state, NodalField(phantom_state.mesh, h)).values
+    d2 = derivative_apply(phantom_state, NodalField(phantom_state.mesh, 2.0 * h)).values
     assert np.allclose(d2, 2.0 * d1, rtol=1e-12, atol=1e-14)
 
 
@@ -100,14 +94,14 @@ def test_taylor_remainder_second_order(mesh500):
     sigma0 = NodalField.constant(mesh, 1.5)
     state = solve_measurement_set(sigma0, ms)
     h = smooth_direction(mesh)
-    f0 = stack_fields(state.power_densities)
-    df = stack_fields(derivative_apply(state, h))
+    f0 = state.power_densities.values
+    df = derivative_apply(state, h).values
     gram = GramSolver(mesh, InnerProductSpec.l2())
     eps_values = np.array([1e-1, 1e-2, 1e-3, 1e-4])
     remainders = []
     for eps in eps_values:
         pert = NodalField(mesh, sigma0.values + eps * h.values)
-        f_eps = stack_fields(solve_measurement_set(pert, ms).power_densities)
+        f_eps = solve_measurement_set(pert, ms).power_densities.values
         r = f_eps - f0 - eps * df
         remainders.append(math.sqrt(sum(l2_norm(gram.mass, row) ** 2 for row in r)))
     slope = np.polyfit(np.log(eps_values), np.log(remainders), 1)[0]
@@ -122,23 +116,20 @@ def test_adjoint_identity(mesh500, rng, mode, m_count):
     gram = GramSolver(mesh500, SPECS[mode])
     for _ in range(5):
         h = NodalField(mesh500, rng.standard_normal(mesh500.num_vertices))
-        w = [
-            NodalField(mesh500, rng.standard_normal(mesh500.num_vertices))
-            for _ in range(m_count)
-        ]
-        fh = derivative_apply(state, h)
+        w = NodalField(mesh500, rng.standard_normal((m_count, mesh500.num_vertices)))
+        fh = derivative_apply(state, h).values
         fstar = adjoint_apply(state, w, gram)
-        lhs = sum(f.values @ (gram.mass @ wj.values) for f, wj in zip(fh, w))
+        lhs = sum(f @ (gram.mass @ wj) for f, wj in zip(fh, w.values))
         rhs = gram.inner(h.values, fstar.values)
-        fh_norm = math.sqrt(sum(f.values @ (gram.mass @ f.values) for f in fh))
-        w_norm = math.sqrt(sum(wj.values @ (gram.mass @ wj.values) for wj in w))
+        fh_norm = math.sqrt(sum(f @ (gram.mass @ f) for f in fh))
+        w_norm = math.sqrt(sum(wj @ (gram.mass @ wj) for wj in w.values))
         assert abs(lhs - rhs) <= 1e-8 * fh_norm * w_norm
 
 
 def test_adjoint_apply_zero(phantom_state):
     mesh = phantom_state.mesh
     gram = GramSolver(mesh, InnerProductSpec.h2_beta())
-    zero = [NodalField.constant(mesh, 0.0) for _ in range(phantom_state.num_measurements)]
+    zero = NodalField(mesh, np.zeros((phantom_state.num_measurements, mesh.num_vertices)))
     out = adjoint_apply(phantom_state, zero, gram)
     assert np.all(out.values == 0.0)
 
@@ -150,20 +141,19 @@ def test_adjoint_apply_constant_case(mesh2000):
         NodalField.constant(mesh2000, s), MeasurementSet.special((1,))
     )
     gram = GramSolver(mesh2000, InnerProductSpec.l2())
-    out = adjoint_apply(state, [NodalField.constant(mesh2000, c)], gram).values
+    w = NodalField(mesh2000, np.full((1, mesh2000.num_vertices), c))
+    out = adjoint_apply(state, w, gram).values
     target = -c / s**2
-    rel = l2_norm(gram.mass, out - target) / (abs(target) * math.sqrt(mesh2000.total_area))
+    area = mesh2000.triangle_areas.sum()
+    rel = l2_norm(gram.mass, out - target) / (abs(target) * math.sqrt(area))
     assert rel <= 0.02
 
 
 def test_adjoint_apply_linearity(phantom_state, rng):
     mesh = phantom_state.mesh
     gram = GramSolver(mesh, InnerProductSpec.l2())
-    w = [
-        NodalField(mesh, rng.standard_normal(mesh.num_vertices))
-        for _ in range(phantom_state.num_measurements)
-    ]
-    w2 = [NodalField(mesh, 2.0 * f.values) for f in w]
+    w = NodalField(mesh, rng.standard_normal((phantom_state.num_measurements, mesh.num_vertices)))
+    w2 = NodalField(mesh, 2.0 * w.values)
     a1 = adjoint_apply(phantom_state, w, gram).values
     a2 = adjoint_apply(phantom_state, w2, gram).values
     assert np.allclose(a2, 2.0 * a1, rtol=1e-12, atol=1e-14)
@@ -176,20 +166,24 @@ def test_adjoint_apply_h2_gram_check_accepts_stable_solve(mesh2000):
     ms = MeasurementSet.trig(math.pi)
     data = solve_measurement_set(phantom_field(default_phantom(), mesh2000), ms)
     state = solve_measurement_set(NodalField.constant(mesh2000, 1.5), ms)
-    residual = [
-        NodalField(mesh2000, d.values - e.values)
-        for d, e in zip(data.power_densities, state.power_densities)
-    ]
+    residual = NodalField(mesh2000, data.power_densities.values - state.power_densities.values)
     out = adjoint_apply(state, residual, GramSolver(mesh2000, InnerProductSpec.h2()))
     assert np.all(np.isfinite(out.values))
 
 
 def test_adjoint_apply_wrong_count(phantom_state):
-    gram = GramSolver(phantom_state.mesh, InnerProductSpec.l2())
-    with pytest.raises(ValueError):
-        adjoint_apply(
-            phantom_state, [NodalField.constant(phantom_state.mesh, 0.0)], gram
-        )
+    mesh = phantom_state.mesh
+    gram = GramSolver(mesh, InnerProductSpec.l2())
+    for shape in ((2, mesh.num_vertices), (4, mesh.num_vertices), (mesh.num_vertices,)):
+        with pytest.raises(ValueError, match="data stack of shape"):
+            adjoint_apply(phantom_state, NodalField(mesh, np.zeros(shape)), gram)
+
+
+def test_derivative_direction_must_be_single(phantom_state):
+    mesh = phantom_state.mesh
+    stack = NodalField(mesh, np.zeros((phantom_state.num_measurements, mesh.num_vertices)))
+    with pytest.raises(ValueError, match="the direction h must be a single field"):
+        derivative_apply(phantom_state, stack)
 
 
 # Reference kernels: the gather/einsum/bincount forms that the mesh's
@@ -316,20 +310,19 @@ def test_forward_and_sensitivity_match_reference_kernels_bitwise(
     _, sols, sigma_tri, grads, grads_sq, densities = ref
     assert same_bytes(state.sigma_tri, sigma_tri)
     for j in range(len(ms)):
-        assert same_bytes(state.potentials[j].values, sols[:, j])
+        assert same_bytes(state.potentials.values[j], sols[:, j])
         assert same_bytes(state.grad_u[j], grads[j])
         assert same_bytes(state.grad_sq[j], grads_sq[j])
-        assert same_bytes(state.power_densities[j].values, densities[j])
+        assert same_bytes(state.power_densities.values[j], densities[j])
 
     h = rng.standard_normal(mesh.num_vertices)
-    for out, expected in zip(
-        derivative_apply(state, NodalField(mesh, h)), kernels.derivative(ref, h)
-    ):
-        assert same_bytes(out.values, expected)
+    derivative = derivative_apply(state, NodalField(mesh, h)).values
+    for out, expected in zip(derivative, kernels.derivative(ref, h), strict=True):
+        assert same_bytes(out, expected)
 
-    w = [rng.standard_normal(mesh.num_vertices) for _ in range(len(ms))]
+    w = rng.standard_normal((len(ms), mesh.num_vertices))
     gram = GramSolver(mesh, InnerProductSpec.h2_beta())
-    out = adjoint_apply(state, [NodalField(mesh, wj) for wj in w], gram)
+    out = adjoint_apply(state, NodalField(mesh, w), gram)
     assert same_bytes(out.values, kernels.adjoint(ref, w, gram))
 
 
@@ -344,9 +337,8 @@ def test_landweber_bitwise_on_fresh_and_warm_meshes():
     logs = []
     fresh = generate_disk_mesh(500)  # no cached plan or operators yet
     for mesh in (fresh, fresh, data_mesh):
-        fields = [NodalField(mesh, f.values) for f in noisy]
         sigma, log = run_landweber(
-            config, fields, delta_abs, ms, NodalField(mesh, truth.values)
+            config, NodalField(mesh, noisy.values), delta_abs, ms, NodalField(mesh, truth.values)
         )
         logs.append((sigma.values, log))
     sigma0, log0 = logs[0]
