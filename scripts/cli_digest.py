@@ -1,21 +1,31 @@
-"""sha256 of every file that a fixed-seed run of the CLI writes.
+"""sha256 of every file that a fixed-seed run of the CLI writes, and of
+the arrays of fixed-seed library runs.
 
 Runs ``simulate``, ``reconstruct``, ``svd`` and ``condition-table`` at
 small mesh sizes in a temporary directory, then prints one
 ``<sha256>  <path>`` line per written file, in path order. The commands'
-own messages go to stderr. Every input is fixed, so a change that keeps
-every written file bit-identical leaves the output unchanged: run the
-script at two commits and diff the outputs.
+own messages go to stderr. It then runs ``simulate_data``, ``add_noise``
+and ``run_landweber`` through the package's public API for three angles
+and the L2, H2 and H2_beta inner products, and prints one
+``<sha256>  library/<run>/<array>`` line for the noisy data and noise
+level, the final iterate, each iteration-log array and the stop reason.
+Every input is fixed, so a change that keeps every written file and every
+iterate bit-identical leaves the output unchanged: run the script at two
+commits and diff the outputs.
 
     PYTHONPATH=src python scripts/cli_digest.py > digests.txt
 """
 
 import contextlib
 import hashlib
+import math
 import os
 import sys
 import tempfile
 
+import numpy as np
+
+import aet2d
 from aet2d.cli import main
 
 CONFIG = """\
@@ -40,6 +50,50 @@ COMMANDS = (
     ["svd", "--alpha", "pi", "--measurements", "2", "--out", "svd"],
     ["condition-table", "--out", "table"],
 )
+
+
+# Library runs: reconstruction and data meshes, noise, seed, iterations.
+LIBRARY_SIZES = (300, 3000)
+LIBRARY_NOISE = 0.05
+LIBRARY_SEED = 2024
+LIBRARY_MAX_ITER = 150
+LIBRARY_ANGLES = (("2pi", 2.0 * math.pi), ("pi", math.pi), ("pi_2", 0.5 * math.pi))
+LIBRARY_SPECS = ("l2", "h2", "h2_beta")
+
+
+def _sha(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def library_digests():
+    """(label, sha256) of the data, iterates and logs of fixed-seed library runs."""
+    mesh = aet2d.generate_disk_mesh(LIBRARY_SIZES[0])
+    fine = aet2d.generate_disk_mesh(LIBRARY_SIZES[1])
+    phantom = aet2d.default_phantom()
+    truth = aet2d.phantom_field(phantom, mesh)
+    out = []
+    for angle, alpha in LIBRARY_ANGLES:
+        ms = aet2d.MeasurementSet.trig(alpha)
+        data, _ = aet2d.simulate_data(phantom, ms, mesh, fine_mesh=fine)
+        noisy, delta_abs = aet2d.add_noise(data, LIBRARY_NOISE, LIBRARY_SEED)
+        out.append((f"library/{angle}/noisy", _sha(noisy.values, np.float64(delta_abs))))
+        for name in LIBRARY_SPECS:
+            config = aet2d.ReconstructionConfig(
+                tau=1.0,
+                delta_rel=LIBRARY_NOISE,
+                max_iter=LIBRARY_MAX_ITER,
+                spec=getattr(aet2d.InnerProductSpec, name)(),
+            )
+            sigma, log = aet2d.run_landweber(config, noisy, delta_abs, ms, truth)
+            run = f"library/{angle}/{name}"
+            out.append((f"{run}/sigma", _sha(sigma.values)))
+            for field in ("residuals", "omegas", "rel_errors"):
+                out.append((f"{run}/{field}", _sha(getattr(log, field))))
+            out.append((f"{run}/stop_reason", hashlib.sha256(log.stop_reason.encode()).hexdigest()))
+    return out
 
 
 def digests(root):
@@ -70,6 +124,8 @@ def run() -> int:
                 print(f"{digest}  {path}")
         finally:
             os.chdir(cwd)
+    for label, digest in library_digests():
+        print(f"{digest}  {label}")
     return 0
 
 

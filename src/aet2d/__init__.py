@@ -9,9 +9,9 @@ from .fem import (
     InnerProductSpec,
     NodalField,
     assemble_boundary_load,
-    assemble_mass,
     assemble_stiffness,
     gram_matrix,
+    norm_sq,
 )
 from .forward import (
     BoundaryCurrent,
@@ -47,7 +47,6 @@ __all__ = [
     "add_noise",
     "adjoint_apply",
     "assemble_boundary_load",
-    "assemble_mass",
     "assemble_stiffness",
     "assemble_transfer_matrix",
     "boundary_current_eval",
@@ -59,6 +58,7 @@ __all__ = [
     "evaluate_phantom",
     "generate_disk_mesh",
     "gram_matrix",
+    "norm_sq",
     "phantom_field",
     "run_landweber",
     "simulate_data",

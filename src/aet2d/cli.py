@@ -69,18 +69,30 @@ def parse_angle(text: str) -> float:
     """Parse an angle given as a float or a pi expression like ``3pi/2``."""
     text = str(text).strip().lower().replace(" ", "")
     m = re.fullmatch(r"([0-9.]*)\*?pi(?:/([0-9.]+))?", text)
-    if m:
-        coef = float(m.group(1)) if m.group(1) else 1.0
-        div = float(m.group(2)) if m.group(2) else 1.0
-        return coef * math.pi / div
     try:
+        if m:
+            coef = float(m.group(1)) if m.group(1) else 1.0
+            div = float(m.group(2)) if m.group(2) else 1.0
+            return coef * math.pi / div
         return float(text)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise CliError(f"cannot parse angle {text!r}") from None
 
 
-def _parse_bool(text: str) -> bool:
-    return str(text).strip().lower() in ("1", "true", "yes", "on")
+_TRUE_WORDS = ("1", "true", "yes", "on")
+_FALSE_WORDS = ("0", "false", "no", "off")
+
+
+def _parse_bool(key: str, text: str) -> bool:
+    word = str(text).strip().lower()
+    if word in _TRUE_WORDS:
+        return True
+    if word in _FALSE_WORDS:
+        return False
+    raise CliError(
+        f"{key} = {text!r} is not a boolean "
+        f"(expected one of {', '.join(_TRUE_WORDS + _FALSE_WORDS)})"
+    )
 
 
 def load_settings(command: str, args: argparse.Namespace) -> dict:
@@ -90,7 +102,14 @@ def load_settings(command: str, args: argparse.Namespace) -> dict:
         parser = configparser.ConfigParser()
         if not os.path.exists(args.config):
             raise CliError(f"config file not found: {args.config}")
-        parser.read(args.config)
+        try:
+            parser.read(args.config)
+        except configparser.Error as exc:
+            raise CliError(f"cannot read config file {args.config}: {exc}") from None
+        for section in parser.sections():
+            for key in parser[section]:
+                if key not in DEFAULTS:
+                    raise CliError(f"{args.config}, section [{section}]: unknown key {key!r}")
         for section in ("common", command):
             if parser.has_section(section):
                 settings.update(dict(parser[section]))
@@ -245,6 +264,9 @@ def cmd_reconstruct(settings: dict) -> int:
     if not os.path.exists(info_path):
         raise CliError(f"no simulated data found at {info_path}; run simulate first")
     info = fileio.read_key_values(info_path, "data")
+    for key in ("mesh_vertices", "alpha", "family", "measurements", "noise", "delta_abs"):
+        if key not in info:
+            raise CliError(f"{info_path} lacks the key {key!r}; run simulate again")
 
     mesh = generate_disk_mesh(int(info["mesh_vertices"]))
     mesh_path = os.path.join(data_dir, "mesh.txt")
@@ -281,7 +303,7 @@ def cmd_reconstruct(settings: dict) -> int:
         max_iter=int(settings["max_iter"]),
         spec=make_inner_spec(settings),
         sigma_floor=float(settings["sigma_floor"]),
-        safeguard=_parse_bool(settings["safeguard"]),
+        safeguard=_parse_bool("safeguard", settings["safeguard"]),
     )
     delta_abs = float(info["delta_abs"])
     sigma, log = run_landweber(config, noisy, delta_abs, ms, truth)

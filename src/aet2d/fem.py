@@ -4,10 +4,12 @@ Conventions used throughout the package:
 
 * conductivity is piecewise linear in the vertices and enters element
   integrals through its per-triangle vertex average;
-* every global matrix (stiffness, mass, weighted mass) is scattered from
-  its (T, 3, 3) local blocks with the mesh's cached ``assembly_plan``, so
-  reassembly only recomputes the data array; the result is bit for bit
-  the matrix ``coo_matrix(...).tocsr()`` builds;
+* every global matrix (stiffness, weighted mass) is scattered from its
+  (T, 3, 3) local blocks by ``Mesh.scatter`` over the mesh's cached
+  ``assembly_plan``, so reassembly only recomputes the data array; the
+  result is bit for bit the matrix ``coo_matrix(...).tocsr()`` builds;
+* the mass matrix is the mesh's cached ``Mesh.mass``; it is the one
+  data-space inner product, and ``norm_sq`` is its (stacked) norm;
 * vertex -> triangle averaging and its transpose are products with the
   mesh's cached incidence matrices ``incidence`` and ``incidence_t``;
 * pure-Neumann systems are closed by pinning one vertex: the reduced
@@ -29,7 +31,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .mesh import BoundaryArc, Mesh, accessible_boundary_edges, rowwise
+from .mesh import MASS_BASE, BoundaryArc, Mesh, accessible_boundary_edges, rowwise
 
 # Default admissibility floor for conductivities.
 DEFAULT_SIGMA_FLOOR = 0.1
@@ -126,17 +128,6 @@ def triangle_average_t(mesh: Mesh, tri_values: np.ndarray) -> np.ndarray:
     return rowwise(mesh.incidence_t, tri_values / 3.0)
 
 
-def _scatter_symmetric(mesh: Mesh, local: np.ndarray) -> sparse.csr_matrix:
-    plan = mesh.assembly_plan
-    data = np.bincount(
-        plan.slot, weights=np.take(local.ravel(), plan.order), minlength=plan.indices.size
-    )
-    v = mesh.num_vertices
-    matrix = sparse.csr_matrix((data, plan.indices, plan.indptr), shape=(v, v))
-    matrix.has_canonical_format = True
-    return matrix
-
-
 def assemble_stiffness(
     mesh: Mesh,
     sigma: NodalField,
@@ -153,27 +144,18 @@ def assemble_stiffness(
             f"conductivity below admissibility floor: min {smin} < {sigma_floor}"
         )
     sig_t = triangle_average(mesh, sigma.values)
-    return _scatter_symmetric(mesh, sig_t[:, None, None] * mesh.local_stiffness)
+    return mesh.scatter(sig_t[:, None, None] * mesh.local_stiffness)
 
 
 def unit_stiffness(mesh: Mesh) -> sparse.csr_matrix:
     """Stiffness matrix for unit conductivity (no admissibility check)."""
-    return _scatter_symmetric(mesh, mesh.local_stiffness)
-
-
-_MASS_BASE = (np.ones((3, 3)) + np.eye(3)) / 12.0
-
-
-def assemble_mass(mesh: Mesh) -> sparse.csr_matrix:
-    """Mass matrix M_ij = int phi_i phi_j (exact for P1 x P1)."""
-    local = mesh.triangle_areas[:, None, None] * _MASS_BASE
-    return _scatter_symmetric(mesh, local)
+    return mesh.scatter(mesh.local_stiffness)
 
 
 def assemble_weighted_mass(mesh: Mesh, tri_weights: np.ndarray) -> sparse.csr_matrix:
     """Mass matrix weighted by a piecewise-constant factor c_T."""
-    local = (tri_weights * mesh.triangle_areas)[:, None, None] * _MASS_BASE
-    return _scatter_symmetric(mesh, local)
+    local = (tri_weights * mesh.triangle_areas)[:, None, None] * MASS_BASE
+    return mesh.scatter(local)
 
 
 def assemble_boundary_load(
@@ -283,12 +265,12 @@ def _check_residual(what: str, resid: np.ndarray, scale: np.ndarray, label: str)
 def gram_matrix(mesh: Mesh, spec: InnerProductSpec) -> sparse.csr_matrix:
     """Gram matrix of the selected domain inner product.
 
-    L2: the mass matrix. H2 / H2_beta: beta0*M + beta1*K1 + beta2*G2 with
-    K1 the unit-conductivity stiffness and G2 = L^T M L the discrete
+    L2: ``mesh.mass`` itself. H2 / H2_beta: beta0*M + beta1*K1 + beta2*G2
+    with K1 the unit-conductivity stiffness and G2 = L^T M L the discrete
     Laplacian surrogate (L = lumped-mass inverse times K1); symmetric
     positive definite for positive weights.
     """
-    m = assemble_mass(mesh)
+    m = mesh.mass
     if spec.mode == "L2":
         return m
     k1 = unit_stiffness(mesh)
@@ -300,11 +282,12 @@ def gram_matrix(mesh: Mesh, spec: InnerProductSpec) -> sparse.csr_matrix:
 
 
 class GramSolver:
-    """Factorized Gram matrix of a domain inner product.
+    """Factorized Gram matrix ``gram = gram_matrix(mesh, spec)`` of a domain product.
 
     Provides the dual solve G x = y, which maps a functional (for an L2
-    functional w, y = M w) to a domain-space field, and the induced inner
-    product. Build once per (mesh, spec) and reuse.
+    functional w, y = M w with M = ``mesh.mass``) to a domain-space
+    field, and the induced inner product. Build once per (mesh, spec) and
+    reuse. The data-space product is not held here: it is ``mesh.mass``.
 
     The solve checks its residual and raises ``SolverError`` when
     |G x - y| exceeds 1e-10 * (|G| |x| + |y|), with |G| the largest
@@ -317,10 +300,7 @@ class GramSolver:
     """
 
     def __init__(self, mesh: Mesh, spec: InnerProductSpec):
-        self.mesh = mesh
-        self.spec = spec
-        self.mass = assemble_mass(mesh)
-        self.gram = self.mass if spec.mode == "L2" else gram_matrix(mesh, spec)
+        self.gram = gram_matrix(mesh, spec)
         self._lu = splu(self.gram.tocsc())
         self._gram_norm = float(abs(self.gram).sum(axis=1).max())
 
@@ -335,5 +315,10 @@ class GramSolver:
         return float(a @ (self.gram @ b))
 
 
-def l2_norm(mass: sparse.spmatrix, a: np.ndarray) -> float:
-    return float(np.sqrt(max(float(a @ (mass @ a)), 0.0)))
+def norm_sq(mesh: Mesh, values: np.ndarray) -> float:
+    """Squared mass norm of a (V,) field, or the stacked one of an (M, V) stack.
+
+    The stacked norm sums the rows' squared norms in row order; a one-row
+    stack gives the (V,) field's value bit for bit.
+    """
+    return sum(float(r @ (mesh.mass @ r)) for r in np.atleast_2d(values))

@@ -209,11 +209,21 @@ def write_key_values(path, section: str, entries: dict) -> None:
 
 
 def read_key_values(path, section: str) -> dict:
+    """Keys of one section of a file written by ``write_key_values``.
+
+    A file that is not INI text, or that lacks the section, raises
+    ``ValueError`` naming the file.
+    """
     import configparser
 
     parser = configparser.ConfigParser()
-    with open(path) as fp:
-        parser.read_file(fp)
+    try:
+        with open(path) as fp:
+            parser.read_file(fp)
+    except configparser.Error as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from None
+    if not parser.has_section(section):
+        raise ValueError(f"{path} has no [{section}] section")
     return dict(parser[section])
 
 

@@ -38,9 +38,9 @@ from scipy import linalg, sparse
 from scipy.linalg import blas, lapack
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .fem import NodalField, _MASS_BASE, assemble_weighted_mass
+from .fem import NodalField, assemble_weighted_mass
 from .forward import MeasurementSet, solve_measurement_set
-from .mesh import Mesh
+from .mesh import MASS_BASE, Mesh
 
 # Condition-number grid of the shipped configuration: measurement-index
 # combinations (descending count) by accessible-arc angle.
@@ -62,12 +62,6 @@ class TransferMatrix:
     matrix: np.ndarray  # (M*V, V)
     blocks: list[np.ndarray]  # per-measurement (V, V) views
     mesh: Mesh
-    ms: MeasurementSet
-    sigma: NodalField
-
-    @property
-    def num_measurements(self) -> int:
-        return len(self.blocks)
 
 
 @dataclass
@@ -101,7 +95,7 @@ def assemble_transfer_matrix(
     # the CSC that corner_matrix_t builds: a CSC left factor sums the
     # products below in another order, which moves their last bits.
     sigma_ints = mesh.corner_matrix_t(
-        np.einsum("ab,tb->ta", _MASS_BASE, sigma_truth.values[mesh.triangles])
+        np.einsum("ab,tb->ta", MASS_BASE, sigma_truth.values[mesh.triangles])
         * mesh.triangle_areas[:, None]
     ).tocsr()
     area_avg = sparse.diags(mesh.triangle_areas) @ (mesh.incidence / 3.0)
@@ -116,7 +110,7 @@ def assemble_transfer_matrix(
         # The hat-function linearizations are u' = -K+ pair^T diag(area) avg.
         assemble_weighted_mass(mesh, state.grad_sq[j]).toarray(out=blk)
         blk -= 2.0 * (sigma_ints @ pair @ kinv @ (pair.T @ area_avg))
-    return TransferMatrix(matrix=matrix, blocks=blocks, mesh=mesh, ms=ms, sigma=sigma_truth)
+    return TransferMatrix(matrix=matrix, blocks=blocks, mesh=mesh)
 
 
 def singular_values(matrix: np.ndarray) -> np.ndarray:

@@ -16,14 +16,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .fem import (
-    DEFAULT_SIGMA_FLOOR,
-    GramSolver,
-    InnerProductSpec,
-    NodalField,
-    assemble_mass,
-    l2_norm,
-)
+from .fem import DEFAULT_SIGMA_FLOOR, GramSolver, InnerProductSpec, NodalField, norm_sq
 from .forward import ForwardState, MeasurementSet, measurement_loads, solve_measurement_set
 from .sensitivity import adjoint_apply, derivative_apply
 
@@ -95,12 +88,13 @@ def add_noise(data: NodalField, delta_rel: float, seed: int):
     mesh = data.mesh
     if delta_rel == 0.0:
         return NodalField(mesh, data.values.copy()), 0.0
-    mass = assemble_mass(mesh)
     values = data.values
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(values.shape)
-    data_scale = np.sqrt(sum(l2_norm(mass, row) ** 2 for row in values))
-    noise_scale = np.sqrt(sum(l2_norm(mass, row) ** 2 for row in noise))
+    # Each row's norm squared again, not norm_sq(mesh, values): the rounding
+    # of that round trip is part of the noise bits, which fixed seeds keep.
+    data_scale = np.sqrt(sum(np.sqrt(norm_sq(mesh, row)) ** 2 for row in values))
+    noise_scale = np.sqrt(sum(np.sqrt(norm_sq(mesh, row)) ** 2 for row in noise))
     delta_abs = delta_rel * data_scale
     noisy = values + delta_abs * noise / noise_scale
     return NodalField(mesh, noisy), float(delta_abs)
@@ -120,11 +114,6 @@ class _Iterate(NamedTuple):
     state: ForwardState
     residual: NodalField
     res_norm: float
-
-
-def _data_norm_sq(mass, stack: NodalField) -> float:
-    """Stacked mass-weighted data norm, squared."""
-    return sum(float(row @ (mass @ row)) for row in stack.values)
 
 
 def _descent_step(
@@ -148,7 +137,7 @@ def _descent_step(
     s_norm_sq = gram.inner(s.values, s.values)
     if s_norm_sq == 0.0:
         raise _Stop("zero_gradient")
-    image_norm_sq = _data_norm_sq(gram.mass, derivative_apply(state, s))
+    image_norm_sq = norm_sq(state.mesh, derivative_apply(state, s).values)
     if image_norm_sq == 0.0:
         raise _Stop("zero_gradient")
     omega = float(s_norm_sq / image_norm_sq)
@@ -194,14 +183,14 @@ def run_landweber(
     def evaluate(sigma: NodalField) -> _Iterate:
         state = solve_measurement_set(sigma, ms, config.sigma_floor, loads=loads)
         residual = NodalField(mesh, noisy_data.values - state.power_densities.values)
-        return _Iterate(state, residual, float(np.sqrt(_data_norm_sq(gram.mass, residual))))
+        return _Iterate(state, residual, float(np.sqrt(norm_sq(mesh, residual.values))))
 
-    truth_norm = l2_norm(gram.mass, truth.values) if truth is not None else None
+    truth_norm = float(np.sqrt(norm_sq(mesh, truth.values))) if truth is not None else None
 
     def rel_error(s: NodalField) -> float:
         if truth is None:
             return float("nan")
-        return l2_norm(gram.mass, s.values - truth.values) / truth_norm
+        return float(np.sqrt(norm_sq(mesh, s.values - truth.values))) / truth_norm
 
     residuals: list[float] = []
     omegas: list[float] = []

@@ -21,6 +21,9 @@ TWO_PI = 2.0 * math.pi
 # Quality floor asserted at generation time; guards stiffness conditioning.
 MIN_ANGLE_DEG = 15.0
 
+# P1 element mass matrix of a unit-area triangle: int_T phi_i phi_j / |T|.
+MASS_BASE = (np.ones((3, 3)) + np.eye(3)) / 12.0
+
 
 @dataclass(frozen=True)
 class BoundaryArc:
@@ -73,8 +76,9 @@ class Mesh:
     Instances are immutable after construction and safe to share between
     threads. Derived data is computed lazily and cached: the geometry
     (areas, P1 gradients, local stiffness blocks, patch areas), the
-    ``assembly_plan`` that every global matrix is scattered with, and the
-    fixed-pattern sparse operators between vertex and triangle values
+    ``assembly_plan`` that ``scatter`` assembles every global matrix
+    with, the mass matrix ``mass`` (the data-space inner product), and
+    the fixed-pattern sparse operators between vertex and triangle values
     (``incidence_t``, its transpose view ``incidence``, and
     ``gradient_operator``). Their index arrays are int32, the incidence
     shares ``triangles`` as its index array, and ``gradient_operator``
@@ -188,6 +192,30 @@ class Mesh:
         for arr in plan:
             arr.setflags(write=False)
         return plan
+
+    def scatter(self, local: np.ndarray) -> sparse.csr_matrix:
+        """(V, V) CSR sum of the (T, 3, 3) local blocks over the ``assembly_plan``.
+
+        Bit for bit what ``coo_matrix(...).tocsr()`` builds; shares the plan's index arrays.
+        """
+        plan = self.assembly_plan
+        data = np.bincount(
+            plan.slot, weights=np.take(local.ravel(), plan.order), minlength=plan.indices.size
+        )
+        v = self.num_vertices
+        matrix = sparse.csr_matrix((data, plan.indices, plan.indptr), shape=(v, v))
+        matrix.has_canonical_format = True
+        return matrix
+
+    @cached_property
+    def mass(self) -> sparse.csr_matrix:
+        """(V, V) mass matrix M_ij = int phi_i phi_j (exact for P1 x P1), read-only.
+
+        The Gram matrix of the data space and of the L2 domain product.
+        """
+        m = self.scatter(self.triangle_areas[:, None, None] * MASS_BASE)
+        m.data.setflags(write=False)
+        return m
 
     def corner_matrix_t(self, corner_values: np.ndarray) -> sparse.csc_matrix:
         """(V, T) matrix with entry (triangles[t, c], t) = corner_values[t, c].

@@ -61,7 +61,8 @@ def adjoint_apply(state: ForwardState, w: NodalField, gram: GramSolver) -> Nodal
     """Adjoint of ``derivative_apply`` applied to an (M, V) stack of data fields.
 
     Exact transpose of the discrete derivative: data fields are pulled
-    back to triangles through the mass-weighted vertex projection, the
+    back to triangles through the mass-weighted vertex projection (the
+    data Riesz map is ``mesh.mass``, whatever the domain product), the
     adjoint potentials reuse the forward factorization, and the final
     Gram solve maps the accumulated functional into the domain space
     selected by ``gram`` (for the L2 inner product this reduces to a
@@ -71,12 +72,10 @@ def adjoint_apply(state: ForwardState, w: NodalField, gram: GramSolver) -> Nodal
     if w.values.shape != expected:
         raise ValueError(f"expected a data stack of shape {expected}, got {w.values.shape}")
     mesh = state.mesh
-    q = pullback_to_triangles(mesh, rowwise(gram.mass, w.values))
+    q = pullback_to_triangles(mesh, rowwise(mesh.mass, w.values))
     weights = state.sigma_tri * q
     rhs = np.column_stack([pairing @ wj for pairing, wj in zip(state.pairing_t, weights)])
     z = state.solver.solve(rhs)
     tri = state.grad_sq * q - 2.0 * mesh.triangle_areas * _directional_pairing(state, z)
-    dual = np.zeros(mesh.num_vertices)
-    for functional in triangle_average_t(mesh, tri):
-        dual += functional
+    dual = triangle_average_t(mesh, tri).sum(axis=0)  # row by row, in order
     return NodalField(mesh, gram.solve_dual(dual))

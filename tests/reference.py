@@ -11,8 +11,9 @@ independently of how the package forms them.
 
 import numpy as np
 
-from aet2d.fem import NodalField, _MASS_BASE, triangle_average
+from aet2d.fem import NodalField, triangle_average
 from aet2d.forward import ForwardState, gradient_on_triangles, project_to_vertices
+from aet2d.mesh import MASS_BASE
 
 
 def power_density(sigma: NodalField, u: NodalField) -> NodalField:
@@ -58,10 +59,10 @@ def derivative_pairing(state: ForwardState, h: NodalField) -> np.ndarray:
             "td,td->t", state.grad_u[j], gradient_on_triangles(mesh, up.values)
         )
         # int_T h phi_a weights (exact for P1 h), plus the constant term
-        mult = np.einsum("ab,tb->ta", _MASS_BASE, h_loc) * (
+        mult = np.einsum("ab,tb->ta", MASS_BASE, h_loc) * (
             state.grad_sq[j] * mesh.triangle_areas
         )[:, None]
-        second = np.einsum("ab,tb->ta", _MASS_BASE, sig_loc) * (
+        second = np.einsum("ab,tb->ta", MASS_BASE, sig_loc) * (
             2.0 * dir_pair * mesh.triangle_areas
         )[:, None]
         row = np.bincount(

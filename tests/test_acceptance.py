@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from aet2d.fem import GramSolver, InnerProductSpec, NodalField, assemble_mass, l2_norm
+from aet2d.fem import GramSolver, InnerProductSpec, NodalField, norm_sq
 from aet2d.forward import (
     MeasurementSet,
     determinant_diagnostic,
@@ -116,10 +116,10 @@ def test_criterion_1_adjoint_identity(mesh500, rng):
                     )
                     fh = derivative_apply(state, h).values
                     fstar = adjoint_apply(state, w, gram)
-                    lhs = sum(f @ (gram.mass @ wj) for f, wj in zip(fh, w.values))
+                    lhs = sum(f @ (mesh500.mass @ wj) for f, wj in zip(fh, w.values))
                     rhs = gram.inner(h.values, fstar.values)
-                    fh_norm = math.sqrt(sum(f @ (gram.mass @ f) for f in fh))
-                    w_norm = math.sqrt(sum(wj @ (gram.mass @ wj) for wj in w.values))
+                    fh_norm = math.sqrt(norm_sq(mesh500, fh))
+                    w_norm = math.sqrt(norm_sq(mesh500, w.values))
                     rel = abs(lhs - rhs) / (fh_norm * w_norm)
                     if rel > worst:
                         worst, worst_at = rel, (alpha, m_count, name)
@@ -139,7 +139,6 @@ def test_criterion_2_taylor_slope():
     h = np.sin(2.0 * x + 1.0) * np.cos(3.0 * y) + 0.5 * x * y + 0.3 * np.cos(4.0 * x)
     h = 0.1 * h / np.abs(h).max()
     hf = NodalField(mesh, h)
-    mass = assemble_mass(mesh)
     f0 = state.power_densities.values
     df = derivative_apply(state, hf).values
     eps_values = np.array([1e-1, 1e-2, 1e-3, 1e-4])
@@ -148,7 +147,7 @@ def test_criterion_2_taylor_slope():
         pert = NodalField(mesh, sigma0.values + eps * h)
         f_eps = solve_measurement_set(pert, ms).power_densities.values
         r = f_eps - f0 - eps * df
-        remainders.append(math.sqrt(sum(l2_norm(mass, row) ** 2 for row in r)))
+        remainders.append(math.sqrt(norm_sq(mesh, r)))
     slope = float(np.polyfit(np.log(eps_values), np.log(remainders), 1)[0])
     record(
         abs(slope - 2.0) <= 0.2,
@@ -162,7 +161,6 @@ def test_criterion_3_analytic_forward_oracle(mesh2000):
     worst = {}
     for target, tol in tolerances.items():
         mesh = mesh2000 if target == 2000 else generate_disk_mesh(target)
-        mass = assemble_mass(mesh)
         worst[target] = 0.0
         for c in (0.5, 1.0, 2.0):
             state = solve_measurement_set(
@@ -170,7 +168,7 @@ def test_criterion_3_analytic_forward_oracle(mesh2000):
             )
             ref = np.full(mesh.num_vertices, 1.0 / c)
             for e in state.power_densities.values:
-                rel = l2_norm(mass, e - ref) / l2_norm(mass, ref)
+                rel = math.sqrt(norm_sq(mesh, e - ref) / norm_sq(mesh, ref))
                 worst[target] = max(worst[target], rel)
     ok = all(worst[t] <= tol for t, tol in tolerances.items())
     record(

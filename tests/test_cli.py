@@ -22,6 +22,15 @@ def test_parse_angle():
     assert parse_angle("1.25") == 1.25
     with pytest.raises(CliError):
         parse_angle("two pies")
+    for text in ("pi/0", "2pi/0.0", "pi/."):
+        with pytest.raises(CliError, match="cannot parse angle"):
+            parse_angle(text)
+
+
+def test_zero_divisor_angle_exits_2(tmp_path, capsys):
+    code = run_cli("svd", "--alpha", "pi/0", "--mesh-vertices", 100, "--out", tmp_path / "s")
+    assert code == 2
+    assert "cannot parse angle 'pi/0'" in capsys.readouterr().err
 
 
 def test_phantom_command_default(tmp_path, capsys):
@@ -243,11 +252,15 @@ def test_reconstruct_noise_free_reduces_error(tmp_path, sim_dir, capsys):
     assert "warning: noisy run stopped by max_iter" in err_text
 
 
-def test_reconstruct_rejects_a_mesh_that_differs(sim_dir, tmp_path, capsys):
-    data = tmp_path / "data"
-    data.mkdir()
+def _copy_data(sim_dir, dest):
+    dest.mkdir()
     for path in sim_dir.iterdir():
-        (data / path.name).write_bytes(path.read_bytes())
+        (dest / path.name).write_bytes(path.read_bytes())
+    return dest
+
+
+def test_reconstruct_rejects_a_mesh_that_differs(sim_dir, tmp_path, capsys):
+    data = _copy_data(sim_dir, tmp_path / "data")
     lines = (data / "mesh.txt").read_text().splitlines(keepends=True)
     x, y = lines[5].split()
     lines[5] = f"{x} {float(y) + 1e-15!r}\n"
@@ -322,3 +335,52 @@ def test_unknown_family_fails(tmp_path, capsys):
     code = run_cli("simulate", "--config", cfg, "--out", tmp_path / "x")
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_config_rejects_an_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "typo.ini"
+    cfg.write_text("[common]\nmesh_vertices = 200\n\n[reconstruct]\nmax_iters = 5\n")
+    code = run_cli("phantom", "--config", cfg, "--out", tmp_path / "o")
+    assert code == 2
+    assert f"{cfg}, section [reconstruct]: unknown key 'max_iters'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_without_a_section_header_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "flat.ini"
+    cfg.write_text("mesh_vertices = 200\n")
+    assert run_cli("phantom", "--config", cfg, "--out", tmp_path / "o") == 2
+    assert f"cannot read config file {cfg}" in capsys.readouterr().err
+
+
+def test_reconstruct_rejects_a_misspelt_boolean(sim_dir, tmp_path, capsys):
+    cfg = tmp_path / "bool.ini"
+    cfg.write_text("[reconstruct]\nsafeguard = ture\n")
+    code = run_cli(
+        "reconstruct", "--config", cfg, "--data", sim_dir, "--out", tmp_path / "r",
+        "--max-iter", 1,
+    )
+    assert code == 2
+    assert "safeguard = 'ture' is not a boolean" in capsys.readouterr().err
+    assert not (tmp_path / "r" / "reconstruction.csv").exists()
+
+
+def test_reconstruct_names_a_missing_data_info_key(sim_dir, tmp_path, capsys):
+    data = _copy_data(sim_dir, tmp_path / "data")
+    info = data / "data_info.txt"
+    lines = info.read_text().splitlines(keepends=True)
+    info.write_text("".join(line for line in lines if not line.startswith("delta_abs")))
+    code = run_cli("reconstruct", "--data", data, "--out", tmp_path / "r", "--max-iter", 1)
+    assert code == 2
+    assert f"{info} lacks the key 'delta_abs'" in capsys.readouterr().err
+
+
+def test_reconstruct_rejects_data_info_without_a_section_header(sim_dir, tmp_path, capsys):
+    data = _copy_data(sim_dir, tmp_path / "data")
+    info = data / "data_info.txt"
+    info.write_text("".join(info.read_text().splitlines(keepends=True)[1:]))
+    code = run_cli("reconstruct", "--data", data, "--out", tmp_path / "r", "--max-iter", 1)
+    assert code == 2
+    assert f"cannot read {info}" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="has no \\[summary\\] section"):
+        fileio.read_key_values(sim_dir / "data_info.txt", "summary")

@@ -13,16 +13,14 @@ from aet2d.fem import (
     SolverError,
     ZeroMeanSolver,
     assemble_boundary_load,
-    assemble_mass,
     assemble_stiffness,
     assemble_weighted_mass,
     gram_matrix,
-    l2_norm,
+    norm_sq,
 )
-from aet2d.mesh import BoundaryArc, Mesh
+from aet2d.mesh import MASS_BASE, BoundaryArc, Mesh
 
 FULL = BoundaryArc(2.0 * math.pi)
-MASS_BASE = (np.ones((3, 3)) + np.eye(3)) / 12.0
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +43,7 @@ def test_local_stiffness_reference_triangle(reference_triangle):
 def test_local_mass_reference_triangle(reference_triangle):
     # exact quadratic quadrature: (area/12) * [[2,1,1],[1,2,1],[1,1,2]]
     expected = (0.5 / 12.0) * np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]])
-    m = assemble_mass(reference_triangle)
+    m = reference_triangle.mass
     assert np.allclose(m.toarray(), expected, atol=1e-15)
 
 
@@ -101,7 +99,7 @@ def test_assembly_matches_coo_scatter_bitwise(request, mesh_name, rng):
         coo_scatter_reference(mesh, sigma_tri[:, None, None] * mesh.local_stiffness),
     )
     areas = mesh.triangle_areas[:, None, None]
-    assert_same_csr(assemble_mass(mesh), coo_scatter_reference(mesh, areas * MASS_BASE))
+    assert_same_csr(mesh.mass, coo_scatter_reference(mesh, areas * MASS_BASE))
     weights = rng.uniform(0.0, 3.0, mesh.num_triangles)
     weights[::7] = 0.0
     assert_same_csr(
@@ -130,7 +128,7 @@ def test_stiffness_rejects_inadmissible(mesh500):
 
 
 def test_mass_partition_of_unity(mesh500):
-    m = assemble_mass(mesh500)
+    m = mesh500.mass
     ones = np.ones(mesh500.num_vertices)
     assert abs(ones @ (m @ ones) - mesh500.triangle_areas.sum()) <= 1e-12
     assert np.max(np.abs((m - m.T).toarray())) <= 1e-12
@@ -138,7 +136,23 @@ def test_mass_partition_of_unity(mesh500):
 
 def test_weighted_mass_matches_mass(mesh200):
     w = np.ones(mesh200.num_triangles)
-    assert (assemble_weighted_mass(mesh200, w) - assemble_mass(mesh200)).nnz == 0
+    assert (assemble_weighted_mass(mesh200, w) - mesh200.mass).nnz == 0
+
+
+def test_mesh_mass_is_cached_and_read_only(mesh500):
+    m = mesh500.mass
+    assert mesh500.mass is m
+    assert not m.data.flags.writeable
+    with pytest.raises(ValueError):
+        m.data[0] = 1.0
+
+
+def test_norm_sq_of_a_one_row_stack_is_the_field_norm(mesh500, rng):
+    w = rng.standard_normal(mesh500.num_vertices)
+    assert norm_sq(mesh500, w[None, :]).hex() == norm_sq(mesh500, w).hex()
+    assert norm_sq(mesh500, w) == float(w @ (mesh500.mass @ w))
+    stack = rng.standard_normal((3, mesh500.num_vertices))
+    assert norm_sq(mesh500, stack) == sum(norm_sq(mesh500, row) for row in stack)
 
 
 def test_boundary_load_zero(mesh500):
@@ -182,9 +196,8 @@ def test_neumann_solve_matches_harmonic(mesh2000):
     k = assemble_stiffness(mesh2000, NodalField.constant(mesh2000, 1.0))
     b = assemble_boundary_load(mesh2000, np.sin, FULL)
     u = ZeroMeanSolver(k, mesh2000).solve(b)
-    m = assemble_mass(mesh2000)
     y = mesh2000.vertices[:, 1]
-    assert l2_norm(m, u - y) / l2_norm(m, y) <= 0.02
+    assert math.sqrt(norm_sq(mesh2000, u - y) / norm_sq(mesh2000, y)) <= 0.02
 
 
 def test_neumann_solve_zero_mean_and_residual(mesh500, rng):
@@ -208,7 +221,7 @@ def test_neumann_solution_scales_with_sigma(mesh500):
 
 def _bordered_reference(k, mesh, b):
     """Lagrange-multiplier closure: LU of [[K, m], [m^T, 0]] with m_i = int phi_i."""
-    m = np.asarray(assemble_mass(mesh).sum(axis=1)).ravel()
+    m = np.asarray(mesh.mass.sum(axis=1)).ravel()
     lu = splu(sparse.bmat([[k, m[:, None]], [m[None, :], None]], format="csc"))
     cols = b.reshape(k.shape[0], -1)
     x = lu.solve(np.vstack([cols, np.zeros((1, cols.shape[1]))]))
@@ -292,7 +305,7 @@ def test_zero_mean_solver_rejects_matrix_without_constant_kernel(mesh500):
 
 def test_gram_l2_is_mass(mesh500):
     g = gram_matrix(mesh500, InnerProductSpec.l2())
-    assert (g - assemble_mass(mesh500)).nnz == 0
+    assert g is mesh500.mass
 
 
 def test_gram_constant_field(mesh500):
@@ -324,13 +337,13 @@ def test_inner_product_spec_validation(bad):
 
 def test_embedding_adjoint_zero(mesh500):
     gram = GramSolver(mesh500, InnerProductSpec.h2())
-    out = gram.solve_dual(gram.mass @ np.zeros(mesh500.num_vertices))
+    out = gram.solve_dual(mesh500.mass @ np.zeros(mesh500.num_vertices))
     assert np.max(np.abs(out)) <= 1e-14
 
 
 def test_embedding_adjoint_constant(mesh500):
     gram = GramSolver(mesh500, InnerProductSpec.h2_beta(1.0, 1e-3, 1e-6))
-    out = gram.solve_dual(gram.mass @ np.full(mesh500.num_vertices, 0.9))
+    out = gram.solve_dual(mesh500.mass @ np.full(mesh500.num_vertices, 0.9))
     assert np.max(np.abs(out - 0.9)) <= 1e-8
 
 
@@ -338,10 +351,10 @@ def test_embedding_adjoint_pairing(mesh500, rng):
     # <x, v>_G = <w, v>_L2 for all nodal v
     spec = InnerProductSpec.h2_beta()
     g = gram_matrix(mesh500, spec)
-    m = assemble_mass(mesh500)
+    m = mesh500.mass
     w = rng.standard_normal(mesh500.num_vertices)
     gram = GramSolver(mesh500, spec)
-    x = gram.solve_dual(gram.mass @ w)
+    x = gram.solve_dual(m @ w)
     for _ in range(10):
         v = rng.standard_normal(mesh500.num_vertices)
         lhs = x @ (g @ v)
@@ -352,9 +365,9 @@ def test_embedding_adjoint_pairing(mesh500, rng):
 def test_embedding_adjoint_l2_identity(mesh500, rng):
     # the L2 Gram is the mass matrix, so the embedding adjoint is the identity
     gram = GramSolver(mesh500, InnerProductSpec.l2())
-    assert gram.gram is gram.mass
+    assert gram.gram is mesh500.mass
     w = rng.standard_normal(mesh500.num_vertices)
-    out = gram.solve_dual(gram.mass @ w)
+    out = gram.solve_dual(mesh500.mass @ w)
     assert np.max(np.abs(out - w)) <= 1e-10 * np.max(np.abs(w))
 
 
@@ -380,8 +393,9 @@ def test_embedding_self_adjoint(mesh500, rng):
     gram = GramSolver(mesh500, InnerProductSpec.h2_beta())
     w1 = rng.standard_normal(mesh500.num_vertices)
     w2 = rng.standard_normal(mesh500.num_vertices)
-    a = w1 @ (gram.mass @ gram.solve_dual(gram.mass @ w2))
-    b = w2 @ (gram.mass @ gram.solve_dual(gram.mass @ w1))
+    m = mesh500.mass
+    a = w1 @ (m @ gram.solve_dual(m @ w2))
+    b = w2 @ (m @ gram.solve_dual(m @ w1))
     assert abs(a - b) <= 1e-10 * max(abs(a), abs(b))
 
 

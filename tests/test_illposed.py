@@ -5,8 +5,9 @@ import pytest
 from scipy import sparse
 
 from aet2d import illposed
-from aet2d.fem import NodalField, _MASS_BASE, assemble_weighted_mass
+from aet2d.fem import NodalField, assemble_weighted_mass
 from aet2d.forward import MeasurementSet, solve_measurement_set
+from aet2d.mesh import MASS_BASE
 from aet2d.illposed import (
     TABLE_ANGLES,
     TABLE_COMBOS,
@@ -30,14 +31,7 @@ def desk_transfer(mesh500):
 
 
 def _report_from_matrix(mesh, matrix, **kw):
-    wrapped = TransferMatrix(
-        matrix=matrix,
-        blocks=[matrix],
-        mesh=mesh,
-        ms=MeasurementSet.trig(2.0 * math.pi, (1,)),
-        sigma=NodalField.constant(mesh, 1.0),
-    )
-    return svd_analyze(wrapped, **kw)
+    return svd_analyze(TransferMatrix(matrix=matrix, blocks=[matrix], mesh=mesh), **kw)
 
 
 # Reference operators of the transfer matrix, built by COO -> CSR scatter.
@@ -67,7 +61,7 @@ def _pairing_matrix(mesh, grad_u):
 def _p1_test_integrals(mesh, vertex_values):
     """(V, T) matrix with entry (v, t) = int_t f phi_v for P1 f (exact)."""
     t = mesh.triangles
-    w = np.einsum("ab,tb->ta", _MASS_BASE, vertex_values[t]) * mesh.triangle_areas[:, None]
+    w = np.einsum("ab,tb->ta", MASS_BASE, vertex_values[t]) * mesh.triangle_areas[:, None]
     cols = np.repeat(np.arange(mesh.num_triangles), 3)
     return sparse.coo_matrix(
         (w.ravel(), (t.ravel(), cols)),
@@ -163,13 +157,11 @@ def test_constant_direction_column_sum(mesh500):
     # sigma = c, full circle, g = sin(theta): the derivative of the
     # constant direction is -1/c^2 uniformly, so T @ 1 is the pairing of
     # that constant with the data basis, i.e. -(1/c^2) * (M @ 1)
-    from aet2d.fem import assemble_mass
-
     c = 2.0
     truth = NodalField.constant(mesh500, c)
     T = assemble_transfer_matrix(truth, MeasurementSet.trig(2.0 * math.pi, (1,)))
     ones = np.ones(mesh500.num_vertices)
-    expected = -(1.0 / c**2) * (assemble_mass(mesh500) @ ones)
+    expected = -(1.0 / c**2) * (mesh500.mass @ ones)
     got = T.matrix @ ones
     assert np.linalg.norm(got - expected) <= 0.02 * np.linalg.norm(expected)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aet2d import inversion
-from aet2d.fem import GramSolver, InnerProductSpec, NodalField, assemble_mass, l2_norm
+from aet2d.fem import GramSolver, InnerProductSpec, NodalField, norm_sq
 from aet2d.forward import MeasurementSet, simulate_data, solve_measurement_set
 from aet2d.inversion import (
     IterationLog,
@@ -12,6 +12,7 @@ from aet2d.inversion import (
     add_noise,
     run_landweber,
 )
+from aet2d.mesh import generate_disk_mesh
 from aet2d.phantom import default_phantom, phantom_field
 
 
@@ -27,8 +28,7 @@ def desk_problem(mesh500, fine3000):
 
 def _mass_norm(mesh, stack):
     """Stacked mass-weighted data norm of an (M, V) array."""
-    mass = assemble_mass(mesh)
-    return math.sqrt(sum(l2_norm(mass, row) ** 2 for row in stack))
+    return math.sqrt(norm_sq(mesh, stack))
 
 
 def _one_step(data, ms, spec, safeguard=False):
@@ -55,6 +55,17 @@ def test_add_noise_exact_relative_level(desk_problem):
     assert delta == pytest.approx(0.05 * data_norm, rel=1e-12)
 
 
+def test_only_the_data_mesh_builds_its_mass_matrix(mesh200):
+    # Mesh.mass is built on first use: noisy data needs it on the mesh the
+    # data live on, never on the fine mesh they are interpolated from.
+    fine = generate_disk_mesh(1500)
+    ms = MeasurementSet.trig(math.pi, (1,))
+    data, _ = simulate_data(default_phantom(), ms, mesh200, fine_mesh=fine)
+    add_noise(data, 0.05, seed=3)
+    assert "mass" in vars(mesh200)
+    assert "mass" not in vars(fine)
+
+
 def test_add_noise_seed_behavior(desk_problem):
     _, data, _ = desk_problem
     n1, d1 = add_noise(data, 0.05, seed=1)
@@ -68,15 +79,20 @@ def test_add_noise_seed_behavior(desk_problem):
 
 
 def test_add_noise_bitwise_against_l2_gram_mass(desk_problem):
-    # Reference: the same scaling with the L2 Gram solver's mass matrix;
-    # the noisy data and the noise level must match to the bit.
+    # Reference: the same scaling with the L2 Gram matrix (the mass matrix),
+    # each row's norm taken as a Python float and squared again; the noisy
+    # data and the noise level must match to the bit.
     _, data, _ = desk_problem
     noisy, delta = add_noise(data, 0.05, seed=20241)
-    mass = GramSolver(data.mesh, InnerProductSpec.l2()).mass
+    mass = GramSolver(data.mesh, InnerProductSpec.l2()).gram
+
+    def row_norm(row):
+        return float(np.sqrt(max(float(row @ (mass @ row)), 0.0)))
+
     values = data.values
     noise = np.random.default_rng(20241).standard_normal(values.shape)
-    data_scale = np.sqrt(sum(l2_norm(mass, row) ** 2 for row in values))
-    noise_scale = np.sqrt(sum(l2_norm(mass, row) ** 2 for row in noise))
+    data_scale = np.sqrt(sum(row_norm(row) ** 2 for row in values))
+    noise_scale = np.sqrt(sum(row_norm(row) ** 2 for row in noise))
     expected_delta = 0.05 * data_scale
     assert delta == expected_delta
     assert np.array_equal(noisy.values, values + expected_delta * noise / noise_scale)
