@@ -9,9 +9,12 @@ and ``run_landweber`` through the package's public API for three angles
 and the L2, H2 and H2_beta inner products, and prints one
 ``<sha256>  library/<run>/<array>`` line for the noisy data and noise
 level, the final iterate, each iteration-log array and the stop reason.
-Every input is fixed, so a change that keeps every written file and every
-iterate bit-identical leaves the output unchanged: run the script at two
-commits and diff the outputs.
+Last come ``<sha256>  mesh/<n>/<array>`` lines for the four arrays of
+``generate_disk_mesh(n)`` at the bench's mesh sizes, the 40000-vertex
+data mesh included, each hashed with its dtype and shape. Every input is
+fixed, so a change that keeps every mesh, written file and iterate
+bit-identical leaves the output unchanged: run the script at two commits
+and diff the outputs.
 
     PYTHONPATH=src python scripts/cli_digest.py > digests.txt
 """
@@ -60,6 +63,10 @@ LIBRARY_MAX_ITER = 150
 LIBRARY_ANGLES = (("2pi", 2.0 * math.pi), ("pi", math.pi), ("pi_2", 0.5 * math.pi))
 LIBRARY_SPECS = ("l2", "h2", "h2_beta")
 
+# Mesh sizes of the bench workloads: grid, reconstruction and data meshes.
+MESH_SIZES = (1000, 2000, 40000)
+MESH_ARRAYS = ("vertices", "triangles", "boundary_edges", "boundary_edge_angles")
+
 
 def _sha(*arrays):
     h = hashlib.sha256()
@@ -96,6 +103,19 @@ def library_digests():
     return out
 
 
+def mesh_digests():
+    """(label, sha256) of the arrays of ``generate_disk_mesh`` at ``MESH_SIZES``."""
+    out = []
+    for n in MESH_SIZES:
+        mesh = aet2d.generate_disk_mesh(n)
+        for name in MESH_ARRAYS:
+            a = getattr(mesh, name)
+            h = hashlib.sha256(f"{a.dtype.str} {a.shape}".encode())
+            h.update(np.ascontiguousarray(a).tobytes())
+            out.append((f"mesh/{n}/{name}", h.hexdigest()))
+    return out
+
+
 def digests(root):
     """(relative path, sha256) of every file under root, in path order."""
     out = []
@@ -124,7 +144,7 @@ def run() -> int:
                 print(f"{digest}  {path}")
         finally:
             os.chdir(cwd)
-    for label, digest in library_digests():
+    for label, digest in library_digests() + mesh_digests():
         print(f"{digest}  {label}")
     return 0
 

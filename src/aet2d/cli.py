@@ -95,9 +95,29 @@ def _parse_bool(key: str, text: str) -> bool:
     )
 
 
+def _number(kind: type, settings: dict, key: str, item: str | None = None):
+    """``kind(settings[key])``, or of ``item``, one entry of a list value.
+
+    A value that does not parse raises ``CliError`` naming the key, the
+    value and ``settings["config"]``, the file the value came from.
+    """
+    value = settings[key]
+    text = value if item is None else item
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        entry = "" if item is None else f" ({text!r})"
+        raise CliError(f"{settings['config']}: {key} = {value!r}{entry} is not {noun}") from None
+
+
 def load_settings(command: str, args: argparse.Namespace) -> dict:
-    """Merge defaults, config-file sections, and flag overrides."""
-    settings = dict(DEFAULTS)
+    """Merge defaults, config-file sections, and flag overrides.
+
+    ``settings["config"]`` names the config file, the only source of a
+    value that may not parse: flags are typed and the defaults parse.
+    """
+    settings = dict(DEFAULTS, config=args.config or "command line")
     if args.config:
         parser = configparser.ConfigParser()
         if not os.path.exists(args.config):
@@ -137,13 +157,13 @@ def make_inner_spec(settings: dict) -> InnerProductSpec:
         raise CliError(f"unknown adjoint {name!r} (expected l2, h2, or h2beta)")
     if name == "h2beta":
         return InnerProductSpec.h2_beta(
-            float(settings["beta0"]), float(settings["beta1"]), float(settings["beta2"])
+            *(_number(float, settings, key) for key in ("beta0", "beta1", "beta2"))
         )
     return _ADJOINTS[name]()
 
 
 def make_measurement_set(settings: dict) -> MeasurementSet:
-    m = int(settings["measurements"])
+    m = _number(int, settings, "measurements")
     family = settings["family"].lower()
     if family in ("trig", "trig_limited"):
         return MeasurementSet.trig(parse_angle(settings["alpha"]), tuple(range(1, m + 1)))
@@ -154,7 +174,7 @@ def make_measurement_set(settings: dict) -> MeasurementSet:
 
 def make_phantom_spec(settings: dict) -> PhantomSpec:
     text = settings["inclusions"].strip()
-    background = float(settings["background"])
+    background = _number(float, settings, "background")
     if text == "default":
         spec = default_phantom()
         if background != spec.background:
@@ -163,7 +183,7 @@ def make_phantom_spec(settings: dict) -> PhantomSpec:
     inclusions = []
     for chunk in filter(None, (c.strip() for c in text.split(";"))):
         parts = chunk.split()
-        kind, vals = parts[0], [float(x) for x in parts[1:]]
+        kind, vals = parts[0], [_number(float, settings, "inclusions", x) for x in parts[1:]]
         if kind == "disc" and len(vals) == 5:
             cx, cy, r, plateau, width = vals
             inclusions.append(Inclusion(Disc((cx, cy), r), plateau, width))
@@ -182,10 +202,10 @@ def make_phantom_spec(settings: dict) -> PhantomSpec:
 
 def cmd_phantom(settings: dict) -> int:
     out = fileio.ensure_dir(settings["out"])
-    mesh = generate_disk_mesh(int(settings["mesh_vertices"]))
+    mesh = generate_disk_mesh(_number(int, settings, "mesh_vertices"))
     spec = make_phantom_spec(settings)
     field = phantom_field(spec, mesh)
-    floor = float(settings["sigma_floor"])
+    floor = _number(float, settings, "sigma_floor")
     if field.values.min() < floor:
         raise CliError(
             f"phantom violates admissibility: min {field.values.min():.4g} < "
@@ -204,18 +224,18 @@ def cmd_phantom(settings: dict) -> int:
 
 def cmd_simulate(settings: dict) -> int:
     out = fileio.ensure_dir(settings["out"])
-    mesh = generate_disk_mesh(int(settings["mesh_vertices"]))
+    mesh = generate_disk_mesh(_number(int, settings, "mesh_vertices"))
     ms = make_measurement_set(settings)
     spec = make_phantom_spec(settings)
     data, fine_state = simulate_data(
         spec,
         ms,
         mesh,
-        fine_vertex_count=int(settings["fine_vertices"]),
-        sigma_floor=float(settings["sigma_floor"]),
+        fine_vertex_count=_number(int, settings, "fine_vertices"),
+        sigma_floor=_number(float, settings, "sigma_floor"),
     )
-    noise = float(settings["noise"])
-    seed = int(settings["seed"])
+    noise = _number(float, settings, "noise")
+    seed = _number(int, settings, "seed")
     noisy, delta_abs = add_noise(data, noise, seed)
 
     det_min = float("nan")
@@ -267,23 +287,16 @@ def cmd_reconstruct(settings: dict) -> int:
     for key in ("mesh_vertices", "alpha", "family", "measurements", "noise", "delta_abs"):
         if key not in info:
             raise CliError(f"{info_path} lacks the key {key!r}; run simulate again")
+    info["config"] = info_path
 
-    mesh = generate_disk_mesh(int(info["mesh_vertices"]))
+    mesh = generate_disk_mesh(_number(int, info, "mesh_vertices"))
     mesh_path = os.path.join(data_dir, "mesh.txt")
     if _mesh_bytes(fileio.read_mesh(mesh_path)) != _mesh_bytes(mesh):
         raise CliError(
             f"{mesh_path} differs from the mesh that mesh_vertices = "
             f"{info['mesh_vertices']} generates"
         )
-    data_settings = dict(settings)
-    data_settings.update(
-        {
-            "alpha": info["alpha"],
-            "family": info["family"],
-            "measurements": info["measurements"],
-        }
-    )
-    ms = make_measurement_set(data_settings)
+    ms = make_measurement_set(info)
     noisy = NodalField(
         mesh,
         [
@@ -297,15 +310,15 @@ def cmd_reconstruct(settings: dict) -> int:
         truth = fileio.read_field_csv(truth_path, mesh)
 
     config = ReconstructionConfig(
-        tau=float(settings["tau"]),
-        delta_rel=float(info["noise"]),
-        sigma0=float(settings["sigma0"]),
-        max_iter=int(settings["max_iter"]),
+        tau=_number(float, settings, "tau"),
+        delta_rel=_number(float, info, "noise"),
+        sigma0=_number(float, settings, "sigma0"),
+        max_iter=_number(int, settings, "max_iter"),
         spec=make_inner_spec(settings),
-        sigma_floor=float(settings["sigma_floor"]),
+        sigma_floor=_number(float, settings, "sigma_floor"),
         safeguard=_parse_bool("safeguard", settings["safeguard"]),
     )
-    delta_abs = float(info["delta_abs"])
+    delta_abs = _number(float, info, "delta_abs")
     sigma, log = run_landweber(config, noisy, delta_abs, ms, truth)
     discrepancy_reached = log.stop_reason == "discrepancy"
     if delta_abs > 0.0 and not discrepancy_reached:
@@ -349,18 +362,19 @@ def _mesh_bytes(mesh: Mesh) -> tuple[bytes, ...]:
 
 
 def _truncate_value(settings: dict):
-    text = settings["truncate"].strip() if settings["truncate"] else ""
-    return int(text) if text else None
+    return _number(int, settings, "truncate") if settings["truncate"].strip() else None
 
 
 def cmd_svd(settings: dict) -> int:
     out = fileio.ensure_dir(settings["out"])
-    mesh = generate_disk_mesh(int(settings["mesh_vertices"]))
+    mesh = generate_disk_mesh(_number(int, settings, "mesh_vertices"))
     ms = make_measurement_set(settings)
     truth = phantom_field(make_phantom_spec(settings), mesh)
     T = assemble_transfer_matrix(truth, ms)
     indices = tuple(
-        int(x) for x in settings["svd_vectors"].split(",") if x.strip()
+        _number(int, settings, "svd_vectors", x)
+        for x in settings["svd_vectors"].split(",")
+        if x.strip()
     )
     report = svd_analyze(T, vector_indices=indices, truncate=_truncate_value(settings))
     fileio.write_singular_values(
@@ -390,7 +404,7 @@ def cmd_svd(settings: dict) -> int:
 
 def cmd_condition_table(settings: dict) -> int:
     out = fileio.ensure_dir(settings["out"])
-    mesh = generate_disk_mesh(int(settings["mesh_vertices"]))
+    mesh = generate_disk_mesh(_number(int, settings, "mesh_vertices"))
     truth = phantom_field(make_phantom_spec(settings), mesh)
     rows = condition_table(truth, truncate=_truncate_value(settings))
     path = os.path.join(out, "condition_table.csv")

@@ -22,13 +22,18 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _floats(values) -> list[float]:
+    """Python floats, whose ``repr`` is the ``_fmt`` of each entry."""
+    return np.asarray(values, dtype=np.float64).tolist()
+
+
 def write_field_csv(path, field: NodalField) -> None:
     """Write a nodal field as ``x,y,value`` rows in mesh vertex order."""
     field.check_single("a field written to CSV")
+    rows = zip(field.mesh.vertices.tolist(), field.values.tolist())
     with open(path, "w") as fp:
         fp.write("x,y,value\n")
-        for (x, y), v in zip(field.mesh.vertices, field.values):
-            fp.write(f"{_fmt(x)},{_fmt(y)},{_fmt(v)}\n")
+        fp.write("".join(f"{x!r},{y!r},{v!r}\n" for (x, y), v in rows))
 
 
 def read_field_csv(path, mesh: Mesh) -> NodalField:
@@ -40,6 +45,7 @@ def read_field_csv(path, mesh: Mesh) -> NodalField:
     row count raises ``ValueError`` naming the file and line.
     """
     n = mesh.num_vertices
+    vertices = mesh.vertices.tolist()
     values = np.empty(n)
     row = 0
     with open(path) as fp:
@@ -55,11 +61,11 @@ def read_field_csv(path, mesh: Mesh) -> NodalField:
                 raise ValueError(
                     f"{path}, line {lineno}: malformed row {line.rstrip()!r}"
                 ) from None
-            vx, vy = mesh.vertices[row]
+            vx, vy = vertices[row]
             if x != vx or y != vy:
                 raise ValueError(
                     f"{path}, line {lineno}: coordinates ({x!r}, {y!r}) differ from "
-                    f"mesh vertex {row} ({float(vx)!r}, {float(vy)!r})"
+                    f"mesh vertex {row} ({vx!r}, {vy!r})"
                 )
             values[row] = v
             row += 1
@@ -76,17 +82,15 @@ def write_mesh(path, mesh: Mesh) -> None:
     Header ``vertices N triangles T boundary_edges B`` followed by N
     ``x y`` lines, T ``i j k`` lines, and B ``i j theta_mid`` lines.
     """
+    boundary = zip(mesh.boundary_edges.tolist(), mesh.boundary_edge_angles.tolist())
     with open(path, "w") as fp:
         fp.write(
             f"vertices {mesh.num_vertices} triangles {mesh.num_triangles} "
             f"boundary_edges {mesh.boundary_edges.shape[0]}\n"
         )
-        for x, y in mesh.vertices:
-            fp.write(f"{_fmt(x)} {_fmt(y)}\n")
-        for i, j, k in mesh.triangles:
-            fp.write(f"{i} {j} {k}\n")
-        for (i, j), theta in zip(mesh.boundary_edges, mesh.boundary_edge_angles):
-            fp.write(f"{i} {j} {_fmt(theta)}\n")
+        fp.write("".join(f"{x!r} {y!r}\n" for x, y in mesh.vertices.tolist()))
+        fp.write("".join(f"{i} {j} {k}\n" for i, j, k in mesh.triangles.tolist()))
+        fp.write("".join(f"{i} {j} {theta!r}\n" for (i, j), theta in boundary))
 
 
 def read_mesh(path) -> Mesh:
@@ -145,33 +149,27 @@ def write_field_vtk(path, field: NodalField, name: str = "value") -> None:
         fp.write(f"{name}\n")
         fp.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
         fp.write(f"POINTS {mesh.num_vertices} double\n")
-        for x, y in mesh.vertices:
-            fp.write(f"{_fmt(x)} {_fmt(y)} 0.0\n")
+        fp.write("".join(f"{x!r} {y!r} 0.0\n" for x, y in mesh.vertices.tolist()))
         fp.write(f"CELLS {nt} {4 * nt}\n")
-        for i, j, k in mesh.triangles:
-            fp.write(f"3 {i} {j} {k}\n")
+        fp.write("".join(f"3 {i} {j} {k}\n" for i, j, k in mesh.triangles.tolist()))
         fp.write(f"CELL_TYPES {nt}\n")
         fp.write("5\n" * nt)
         fp.write(f"POINT_DATA {mesh.num_vertices}\n")
         fp.write(f"SCALARS {name} double\nLOOKUP_TABLE default\n")
-        for v in field.values:
-            fp.write(f"{_fmt(v)}\n")
+        fp.write("".join(f"{v!r}\n" for v in field.values.tolist()))
 
 
 def write_iteration_log(path, log: IterationLog) -> None:
+    columns = (_floats(log.residuals), _floats(log.omegas), _floats(log.rel_errors))
     with open(path, "w") as fp:
         fp.write("k,residual,omega,rel_error\n")
-        for k, (res, om, err) in enumerate(
-            zip(log.residuals, log.omegas, log.rel_errors)
-        ):
-            fp.write(f"{k},{_fmt(res)},{_fmt(om)},{_fmt(err)}\n")
+        fp.write("".join(f"{k},{r!r},{o!r},{e!r}\n" for k, (r, o, e) in enumerate(zip(*columns))))
 
 
 def write_singular_values(path, values: np.ndarray) -> None:
     with open(path, "w") as fp:
         fp.write("k,sigma_k\n")
-        for k, s in enumerate(values, start=1):
-            fp.write(f"{k},{_fmt(s)}\n")
+        fp.write("".join(f"{k},{s!r}\n" for k, s in enumerate(_floats(values), start=1)))
 
 
 def write_condition_table(path, rows, angles) -> None:

@@ -1,9 +1,12 @@
 """Triangulations of the unit disk with marked boundary arcs.
 
 The mesher lays vertices on concentric rings (counts proportional to the
-radius) and triangulates ring pairs with an angular two-pointer sweep.
-This is fully deterministic: the same target vertex count always yields
-the same mesh, which keeps regression tests and noise seeds meaningful.
+radius) and triangulates each ring pair by merging the two rings' vertex
+angles in increasing order, ties to the outer ring: each outer vertex
+passed adds a triangle on an outer edge, each inner vertex one on an
+inner edge. This is fully deterministic: the same target vertex count
+always yields the same mesh, which keeps regression tests and noise
+seeds meaningful.
 """
 
 from __future__ import annotations
@@ -262,8 +265,8 @@ class Mesh:
         t = self.triangles.astype(np.int64)
         a = np.concatenate([t[:, 0], t[:, 1], t[:, 2]])
         b = np.concatenate([t[:, 1], t[:, 2], t[:, 0]])
-        keys = np.minimum(a, b) * self.num_vertices + np.maximum(a, b)
-        return np.unique(keys).size
+        keys = np.sort(np.minimum(a, b) * self.num_vertices + np.maximum(a, b))
+        return int(np.count_nonzero(keys[1:] != keys[:-1])) + int(keys.size > 0)
 
     def min_angle_deg(self) -> float:
         """Smallest interior angle over all triangles, in degrees."""
@@ -308,24 +311,25 @@ def _ring_layout(target_vertex_count: int) -> list[int]:
     return counts
 
 
-def _strip_triangles(inner: np.ndarray, outer: np.ndarray) -> list[tuple[int, int, int]]:
+def _strip_triangles(inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
     """Triangulate the annulus strip between two vertex rings.
 
-    Both rings are ordered by angle starting at theta = 0. The sweep
-    advances whichever ring has the smaller next angle (exact integer
-    comparison), producing len(inner) + len(outer) CCW triangles.
+    Both rings are ordered by angle starting at theta = 0. Outer vertex
+    j + 1 sits at angle key (j + 1) * len(inner) and inner vertex i + 1
+    at (i + 1) * len(outer) (exact integers); the keys are merged in
+    increasing order, ties to the outer ring. A step past an outer
+    vertex adds (inner[i], outer[j], outer[j + 1]), a step past an inner
+    one (inner[i], outer[j], inner[i + 1]), where i and j count the
+    earlier steps of each kind. Returns the (len(inner) + len(outer), 3)
+    CCW triangles.
     """
     mi, mo = len(inner), len(outer)
-    tris = []
-    i = j = 0
-    while i < mi or j < mo:
-        if j < mo and (i == mi or (j + 1) * mi <= (i + 1) * mo):
-            tris.append((inner[i % mi], outer[j % mo], outer[(j + 1) % mo]))
-            j += 1
-        else:
-            tris.append((inner[i % mi], outer[j % mo], inner[(i + 1) % mi]))
-            i += 1
-    return tris
+    keys = np.concatenate([np.arange(1, mo + 1) * mi, np.arange(1, mi + 1) * mo])
+    is_outer = np.argsort(keys, kind="stable") < mo
+    j = np.cumsum(is_outer) - is_outer
+    i = np.arange(mi + mo) - j
+    third = np.where(is_outer, outer[(j + 1) % mo], inner[(i + 1) % mi])
+    return np.column_stack([inner[i % mi], outer[j % mo], third])
 
 
 def generate_disk_mesh(target_vertex_count: int) -> Mesh:
@@ -350,25 +354,19 @@ def generate_disk_mesh(target_vertex_count: int) -> Mesh:
     counts = _ring_layout(target_vertex_count)
     n_rings = len(counts)
 
-    verts = [(0.0, 0.0)]
+    rings = [np.zeros((1, 2))]
     ring_indices: list[np.ndarray] = []
     start = 1
     for k, m in enumerate(counts, start=1):
         r = k / n_rings
         theta = TWO_PI * np.arange(m) / m
-        ring = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
-        verts.extend(map(tuple, ring))
+        rings.append(np.column_stack([r * np.cos(theta), r * np.sin(theta)]))
         ring_indices.append(np.arange(start, start + m))
         start += m
-    vertices = np.asarray(verts)
 
-    tris: list[tuple[int, int, int]] = []
     first = ring_indices[0]
-    m0 = len(first)
-    for j in range(m0):
-        tris.append((0, first[j], first[(j + 1) % m0]))
-    for k in range(1, n_rings):
-        tris.extend(_strip_triangles(ring_indices[k - 1], ring_indices[k]))
+    fan = np.column_stack([np.zeros_like(first), first, np.roll(first, -1)])
+    strips = [_strip_triangles(ring_indices[k - 1], ring_indices[k]) for k in range(1, n_rings)]
 
     last = ring_indices[-1]
     mb = len(last)
@@ -376,7 +374,7 @@ def generate_disk_mesh(target_vertex_count: int) -> Mesh:
     # midpoint angle of edge (i, i+1) on an equally spaced ring
     mid_angles = (TWO_PI * (np.arange(mb) + 0.5) / mb) % TWO_PI
 
-    mesh = Mesh(vertices, np.asarray(tris), boundary_edges, mid_angles)
+    mesh = Mesh(np.concatenate(rings), np.concatenate([fan, *strips]), boundary_edges, mid_angles)
     _validate(mesh)
     return mesh
 

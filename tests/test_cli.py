@@ -353,6 +353,43 @@ def test_config_without_a_section_header_exits_2(tmp_path, capsys):
     assert f"cannot read config file {cfg}" in capsys.readouterr().err
 
 
+def test_config_names_a_bad_integer(tmp_path, capsys):
+    cfg = tmp_path / "int.ini"
+    cfg.write_text("[phantom]\nmesh_vertices = 2k\n")
+    assert run_cli("phantom", "--config", cfg, "--out", tmp_path / "o") == 2
+    assert f"error: {cfg}: mesh_vertices = '2k' is not an integer" in capsys.readouterr().err
+
+
+def test_config_names_a_bad_float(tmp_path, capsys):
+    cfg = tmp_path / "float.ini"
+    cfg.write_text("[common]\nmesh_vertices = 200\nsigma_floor = 0,1\n")
+    assert run_cli("phantom", "--config", cfg, "--out", tmp_path / "o") == 2
+    assert f"error: {cfg}: sigma_floor = '0,1' is not a number" in capsys.readouterr().err
+
+
+def test_config_names_a_bad_svd_vectors_entry(tmp_path, capsys):
+    cfg = tmp_path / "svd.ini"
+    cfg.write_text("[svd]\nmesh_vertices = 100\nsvd_vectors = 1;5\n")
+    assert run_cli("svd", "--config", cfg, "--measurements", 2, "--out", tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert f"error: {cfg}: svd_vectors = '1;5' ('1;5') is not an integer" in err
+    cfg.write_text("[svd]\nmesh_vertices = 100\nsvd_vectors = 1, x\n")
+    assert run_cli("svd", "--config", cfg, "--measurements", 2, "--out", tmp_path / "o") == 2
+    assert f"error: {cfg}: svd_vectors = '1, x' (' x') is not an integer" in capsys.readouterr().err
+
+
+def test_reconstruct_names_a_bad_data_info_value(sim_dir, tmp_path, capsys):
+    data = _copy_data(sim_dir, tmp_path / "data")
+    info = data / "data_info.txt"
+    lines = info.read_text().splitlines(keepends=True)
+    info.write_text(
+        "".join("delta_abs = 0.01x\n" if ln.startswith("delta_abs") else ln for ln in lines)
+    )
+    code = run_cli("reconstruct", "--data", data, "--out", tmp_path / "r", "--max-iter", 1)
+    assert code == 2
+    assert f"error: {info}: delta_abs = '0.01x' is not a number" in capsys.readouterr().err
+
+
 def test_reconstruct_rejects_a_misspelt_boolean(sim_dir, tmp_path, capsys):
     cfg = tmp_path / "bool.ini"
     cfg.write_text("[reconstruct]\nsafeguard = ture\n")

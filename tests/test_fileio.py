@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import reference
 
 from aet2d import fileio
 from aet2d.fem import NodalField
@@ -125,6 +126,31 @@ def test_vtk_export(mesh200, tmp_path):
     assert f"POINTS {mesh200.num_vertices} double" in lines[4]
     assert f"CELLS {mesh200.num_triangles} {4 * mesh200.num_triangles}" in lines
     assert any(line.startswith("SCALARS conductivity") for line in lines)
+
+
+def test_writers_match_row_by_row_reference(mesh2000, rng, tmp_path):
+    values = rng.standard_normal(mesh2000.num_vertices)
+    values[:4] = (-0.0, 1e-300, -12345.678901234567, 1e22)
+    field = NodalField(mesh2000, values)
+    log = IterationLog(
+        residuals=rng.random(50),
+        omegas=np.append(rng.random(49), np.nan),
+        rel_errors=np.full(50, np.nan),
+        stop_reason="max_iter",
+    )
+    cases = [
+        ("write_field_csv", (field,)),
+        ("write_field_vtk", (field, "conductivity")),
+        ("write_mesh", (mesh2000,)),
+        ("write_iteration_log", (log,)),
+        ("write_singular_values", (np.sort(rng.random(300))[::-1],)),
+        ("write_singular_values", (np.array([3, 2, 0]),)),
+    ]
+    for n, (name, args) in enumerate(cases):
+        got, want = tmp_path / f"got{n}", tmp_path / f"want{n}"
+        getattr(fileio, name)(got, *args)
+        getattr(reference, name)(want, *args)
+        assert got.read_bytes() == want.read_bytes(), name
 
 
 def test_iteration_log_roundtrip(tmp_path):

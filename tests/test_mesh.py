@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import reference
 
 from aet2d.mesh import (
     BoundaryArc,
@@ -34,7 +35,16 @@ def test_generated_mesh_invariants(target):
     assert np.max(np.abs(np.linalg.norm(mesh.vertices[bverts], axis=1) - 1.0)) <= 1e-12
 
 
-@pytest.mark.parametrize("target", [4, 12, 60, 500, 2000, 8000])
+@pytest.mark.parametrize("target", [4, 5, 7, 100, 700, 2000, 10500, 40000])
+def test_generated_mesh_matches_reference(target):
+    mesh, ref = generate_disk_mesh(target), reference.disk_mesh(target)
+    for name in ("vertices", "triangles", "boundary_edges", "boundary_edge_angles"):
+        got, want = getattr(mesh, name), getattr(ref, name)
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("target", [4, 12, 60, 500, 2000, 8000, 40000])
 def test_edge_count_matches_unique_pairs(target):
     mesh = generate_disk_mesh(target)
     t = mesh.triangles
