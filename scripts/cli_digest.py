@@ -1,12 +1,14 @@
 """sha256 of every file that a fixed-seed run of the CLI writes, and of
 the arrays of fixed-seed library runs.
 
-Runs ``simulate``, ``reconstruct``, ``svd`` and ``condition-table`` at
-small mesh sizes in a temporary directory, then prints one
-``<sha256>  <path>`` line per written file, in path order. The commands'
-own messages go to stderr. It then runs ``simulate_data``, ``add_noise``
-and ``run_landweber`` through the package's public API for three angles
-and the L2, H2 and H2_beta inner products, and prints one
+Runs ``phantom``, ``simulate``, ``reconstruct``, ``svd`` and
+``condition-table`` at small mesh sizes in a temporary directory. Every
+CLI setting is pinned: a flag, or the config section of a command that
+reads it, sets it, to a non-default value where the runs allow. It then
+prints one ``<sha256>  <path>`` line per written file, in path order.
+The commands' own messages go to stderr. Next it runs ``simulate_data``,
+``add_noise`` and ``run_landweber`` through the package's public API for
+three angles and the L2, H2 and H2_beta inner products, and prints one
 ``<sha256>  library/<run>/<array>`` line for the noisy data and noise
 level, the final iterate, each iteration-log array and the stop reason.
 Last come ``<sha256>  mesh/<n>/<array>`` lines for the four arrays of
@@ -36,15 +38,28 @@ CONFIG = """\
 mesh_vertices = 400
 fine_vertices = 3000
 
+[reconstruct]
+sigma0 = 1.4
+beta0 = 0.5
+beta1 = 2e-3
+beta2 = 1e-5
+sigma_floor = 0.2
+safeguard = false
+tau = 1.2
+
 [svd]
 mesh_vertices = 150
 svd_vectors = 1,5
+background = 1.2
+inclusions = disc 0.3 0.2 0.3 1.8 0.1; crescent -0.3 0.2 0.35 -0.2 0.3 0.25 1.5 0.08
+truncate = 40
 
 [condition-table]
 mesh_vertices = 150
 """
 
 COMMANDS = (
+    ["phantom", "--out", "phantom"],
     ["simulate", "--alpha", "3pi/2", "--noise", "0.05", "--seed", "7", "--out", "trig"],
     ["reconstruct", "--data", "trig", "--max-iter", "300", "--out", "trig/recon"],
     ["simulate", "--family", "special", "--noise", "0", "--out", "special"],

@@ -1,10 +1,11 @@
 """Command-line front end for the reconstruction pipeline.
 
 Subcommands: ``phantom``, ``simulate``, ``reconstruct``, ``svd``, and
-``condition-table``. Parameters come from an INI-style config file (one
-section per command, ``[common]`` as shared fallback) and can be
-overridden by flags. Angles accept ``pi`` expressions such as ``3pi/2``.
-All commands are deterministic for a fixed config and seed.
+``condition-table``. ``_SETTINGS`` gives each parameter its parser,
+default, commands and optional flag. A value comes from the default, an
+INI-style config file (``[common]``, then the command's section) or a
+flag, and is parsed once. Angles accept ``pi`` expressions such as
+``3pi/2``. All commands are deterministic for a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 import os
 import re
 import sys
+from typing import Callable, NamedTuple
 
 from . import fileio
 from .fem import InnerProductSpec, NodalField
@@ -28,37 +30,6 @@ from .illposed import (
 from .inversion import ReconstructionConfig, add_noise, run_landweber
 from .mesh import Mesh, generate_disk_mesh
 from .phantom import Crescent, Disc, Inclusion, PhantomSpec, default_phantom, phantom_field
-
-DEFAULTS = {
-    "mesh_vertices": "2000",
-    "fine_vertices": "40000",
-    "alpha": "2pi",
-    "measurements": "3",
-    "family": "trig",
-    "adjoint": "h2beta",
-    "beta0": "1.0",
-    "beta1": "1e-3",
-    "beta2": "1e-6",
-    "tau": "1.0",
-    "noise": "0.0",
-    "seed": "0",
-    "max_iter": "1000",
-    "sigma0": "1.5",
-    "sigma_floor": "0.1",
-    "safeguard": "true",
-    "background": "1.0",
-    "inclusions": "default",
-    "out": "out",
-    "data": "",
-    "truncate": "",
-    "svd_vectors": "",
-}
-
-_ADJOINTS = {
-    "l2": InnerProductSpec.l2,
-    "h2": InnerProductSpec.h2,
-    "h2beta": InnerProductSpec.h2_beta,
-}
 
 
 class CliError(Exception):
@@ -79,111 +50,66 @@ def parse_angle(text: str) -> float:
         raise CliError(f"cannot parse angle {text!r}") from None
 
 
-_TRUE_WORDS = ("1", "true", "yes", "on")
-_FALSE_WORDS = ("0", "false", "no", "off")
+# Value parsers. Each maps the text of a value to its typed value, or
+# raises ValueError with the end of the sentence "<key> = <text> ...".
 
 
-def _parse_bool(key: str, text: str) -> bool:
-    word = str(text).strip().lower()
-    if word in _TRUE_WORDS:
-        return True
-    if word in _FALSE_WORDS:
-        return False
-    raise CliError(
-        f"{key} = {text!r} is not a boolean "
-        f"(expected one of {', '.join(_TRUE_WORDS + _FALSE_WORDS)})"
-    )
-
-
-def _number(kind: type, settings: dict, key: str, item: str | None = None):
-    """``kind(settings[key])``, or of ``item``, one entry of a list value.
-
-    A value that does not parse raises ``CliError`` naming the key, the
-    value and ``settings["config"]``, the file the value came from.
-    """
-    value = settings[key]
-    text = value if item is None else item
-    try:
-        return kind(text)
-    except ValueError:
-        noun = "an integer" if kind is int else "a number"
-        entry = "" if item is None else f" ({text!r})"
-        raise CliError(f"{settings['config']}: {key} = {value!r}{entry} is not {noun}") from None
-
-
-def load_settings(command: str, args: argparse.Namespace) -> dict:
-    """Merge defaults, config-file sections, and flag overrides.
-
-    ``settings["config"]`` names the config file, the only source of a
-    value that may not parse: flags are typed and the defaults parse.
-    """
-    settings = dict(DEFAULTS, config=args.config or "command line")
-    if args.config:
-        parser = configparser.ConfigParser()
-        if not os.path.exists(args.config):
-            raise CliError(f"config file not found: {args.config}")
+def _typed(convert: Callable[[str], object], noun: str) -> Callable[[str], object]:
+    def parse(text):
         try:
-            parser.read(args.config)
-        except configparser.Error as exc:
-            raise CliError(f"cannot read config file {args.config}: {exc}") from None
-        for section in parser.sections():
-            for key in parser[section]:
-                if key not in DEFAULTS:
-                    raise CliError(f"{args.config}, section [{section}]: unknown key {key!r}")
-        for section in ("common", command):
-            if parser.has_section(section):
-                settings.update(dict(parser[section]))
-    overrides = {
-        "alpha": args.alpha,
-        "measurements": args.measurements,
-        "family": args.family,
-        "adjoint": args.adjoint,
-        "tau": args.tau,
-        "noise": args.noise,
-        "seed": args.seed,
-        "max_iter": args.max_iter,
-        "out": args.out,
-        "truncate": args.truncate,
-        "mesh_vertices": getattr(args, "mesh_vertices", None),
-        "data": getattr(args, "data", None),
-    }
-    settings.update({k: str(v) for k, v in overrides.items() if v is not None})
-    return settings
+            return convert(text)
+        except ValueError:
+            raise ValueError(f"is not {noun}") from None
+        except CliError as exc:
+            raise ValueError(f"is not {noun} ({exc})") from None
+
+    return parse
 
 
-def make_inner_spec(settings: dict) -> InnerProductSpec:
-    name = settings["adjoint"].lower()
-    if name not in _ADJOINTS:
-        raise CliError(f"unknown adjoint {name!r} (expected l2, h2, or h2beta)")
-    if name == "h2beta":
-        return InnerProductSpec.h2_beta(
-            *(_number(float, settings, key) for key in ("beta0", "beta1", "beta2"))
-        )
-    return _ADJOINTS[name]()
+_int = _typed(int, "an integer")
+_float = _typed(float, "a number")
+_angle = _typed(parse_angle, "an angle")
 
 
-def make_measurement_set(settings: dict) -> MeasurementSet:
-    m = _number(int, settings, "measurements")
-    family = settings["family"].lower()
-    if family in ("trig", "trig_limited"):
-        return MeasurementSet.trig(parse_angle(settings["alpha"]), tuple(range(1, m + 1)))
-    if family in ("special", "special_full"):
-        return MeasurementSet.special(tuple(range(1, m + 1)))
-    raise CliError(f"unknown family {family!r} (expected trig or special)")
+def _choice(noun: str, words: dict) -> Callable[[str], object]:
+    """Parser of a case-insensitive word, one of the keys of ``words``."""
+
+    def parse(text):
+        word = text.strip().lower()
+        if word not in words:
+            raise ValueError(f"is not {noun} (expected one of {', '.join(words)})")
+        return words[word]
+
+    return parse
 
 
-def make_phantom_spec(settings: dict) -> PhantomSpec:
-    text = settings["inclusions"].strip()
-    background = _number(float, settings, "background")
-    if text == "default":
-        spec = default_phantom()
-        if background != spec.background:
-            spec = PhantomSpec(background, spec.inclusions)
-        return spec
+_bool = _choice("a boolean", configparser.ConfigParser.BOOLEAN_STATES)
+
+
+def _entry(parse: Callable[[str], object], text: str):
+    """``parse`` of one entry of a list value; an error quotes the entry."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"({text!r}) {exc}") from None
+
+
+def _optional_int(text: str) -> int | None:
+    return _int(text) if text.strip() else None
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    return tuple(_entry(_int, item) for item in text.split(",") if item.strip())
+
+
+def _inclusions(text: str) -> tuple[Inclusion, ...]:
+    """``disc``/``crescent`` specs separated by ``;``, or ``default``."""
+    if text.strip() == "default":
+        return default_phantom().inclusions
     inclusions = []
     for chunk in filter(None, (c.strip() for c in text.split(";"))):
-        parts = chunk.split()
-        kind, vals = parts[0], [_number(float, settings, "inclusions", x) for x in parts[1:]]
+        kind, *words = chunk.split()
+        vals = [_entry(_float, word) for word in words]
         if kind == "disc" and len(vals) == 5:
             cx, cy, r, plateau, width = vals
             inclusions.append(Inclusion(Disc((cx, cy), r), plateau, width))
@@ -193,19 +119,132 @@ def make_phantom_spec(settings: dict) -> PhantomSpec:
                 Inclusion(Crescent(Disc((ocx, ocy), orr), Disc((icx, icy), irr)), plateau, width)
             )
         else:
-            raise CliError(
-                f"bad inclusion spec {chunk!r}: expected 'disc cx cy r plateau width' "
+            raise ValueError(
+                f"has a bad inclusion spec {chunk!r}: expected 'disc cx cy r plateau width' "
                 "or 'crescent ocx ocy or icx icy ir plateau width'"
             )
-    return PhantomSpec(background, tuple(inclusions))
+    return tuple(inclusions)
+
+
+class _Setting(NamedTuple):
+    parse: Callable[[str], object]
+    default: str
+    commands: tuple[str, ...]
+    flag: str | None = None  # help of the flag --<key with dashes>, if any
+
+
+_ALL = ("phantom", "simulate", "reconstruct", "svd", "condition-table")
+_PHANTOM = ("phantom", "simulate", "svd", "condition-table")
+_MEASURE = ("simulate", "svd")
+_RECON = ("reconstruct",)
+_FAMILIES = dict(trig="trig", trig_limited="trig", special="special", special_full="special")
+_ADJOINTS = dict(l2="l2", h2="h2", h2beta="h2beta")
+
+# Every parameter. A config section or a subcommand accepts a key only
+# if its command reads it; [common] accepts every key.
+_SETTINGS = {
+    "mesh_vertices": _Setting(_int, "2000", _PHANTOM, "vertices of the mesh"),
+    "fine_vertices": _Setting(_int, "40000", ("simulate",)),
+    "alpha": _Setting(_angle, "2pi", _MEASURE, "accessible arc angle, e.g. 3pi/2"),
+    "measurements": _Setting(_int, "3", _MEASURE, "number of boundary currents"),
+    "family": _Setting(_choice("a family", _FAMILIES), "trig", _MEASURE, "trig or special"),
+    "adjoint": _Setting(_choice("an adjoint", _ADJOINTS), "h2beta", _RECON, "l2, h2 or h2beta"),
+    "beta0": _Setting(_float, "1.0", _RECON),
+    "beta1": _Setting(_float, "1e-3", _RECON),
+    "beta2": _Setting(_float, "1e-6", _RECON),
+    "tau": _Setting(_float, "1.0", _RECON, "discrepancy multiplier"),
+    "noise": _Setting(_float, "0.0", ("simulate",), "relative noise level"),
+    "seed": _Setting(_int, "0", ("simulate",), "noise RNG seed"),
+    "max_iter": _Setting(_int, "1000", _RECON, "Landweber iteration limit"),
+    "sigma0": _Setting(_float, "1.5", _RECON),
+    "sigma_floor": _Setting(_float, "0.1", ("phantom", "simulate", "reconstruct")),
+    "safeguard": _Setting(_bool, "true", _RECON),
+    "background": _Setting(_float, "1.0", _PHANTOM),
+    "inclusions": _Setting(_inclusions, "default", _PHANTOM),
+    "out": _Setting(str, "out", _ALL, "output directory"),
+    "data": _Setting(str, "", _RECON, "directory with simulated data (default: --out)"),
+    "truncate": _Setting(_optional_int, "", ("svd", "condition-table"), "singular values kept"),
+    "svd_vectors": _Setting(_int_list, "", ("svd",)),
+}
+
+# The settings that simulate records in data_info.txt, and the keys of
+# that file that reconstruct reads, with their parsers.
+_DATA_KEYS = ("mesh_vertices", "fine_vertices", "alpha", "family", "measurements", "noise", "seed")
+_DATA_INFO = {k: _SETTINGS[k].parse for k in _DATA_KEYS if k not in ("fine_vertices", "seed")}
+_DATA_INFO["delta_abs"] = _float
+
+
+def _parse(parse: Callable[[str], object], key: str, text: str, source: str, where: str = ""):
+    """``parse(text)``; an error names the source, the key and the value."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise CliError(f"{source}: {key} = {text!r} {exc}{where}") from None
+
+
+def _read_config(path: str) -> dict[str, dict]:
+    """Typed values of each section of the config at ``path``. A section must
+    be [common] or a command, and a command's section may hold only keys it reads.
+    """
+    if not os.path.exists(path):
+        raise CliError(f"config file not found: {path}")
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        parser.read(path)
+    except configparser.Error as exc:
+        raise CliError(f"cannot read config file {path}: {exc}") from None
+    sections = {}
+    # configparser lists no [DEFAULT] section; its keys would reach every section
+    for section in [parser.default_section] * bool(parser.defaults()) + parser.sections():
+        if section != "common" and section not in _ALL:
+            raise CliError(f"{path}: unknown section [{section}] (expected [common] or a command)")
+        values = sections[section] = {}
+        for key, text in parser[section].items():
+            if key not in _SETTINGS:
+                raise CliError(f"{path}, section [{section}]: unknown key {key!r}")
+            if section != "common" and section not in _SETTINGS[key].commands:
+                raise CliError(f"{path}, section [{section}]: {section} does not read {key!r}")
+            where = f", in section [{section}]"
+            values[key] = _parse(_SETTINGS[key].parse, key, text, path, where)
+    return sections
+
+
+def load_settings(command: str, args: argparse.Namespace) -> dict:
+    """Typed values of the keys that ``command`` reads: the defaults, then the
+    config's [common] and [command] sections, then the flags.
+    """
+    sections = _read_config(args.config) if args.config else {}
+    settings = {key: s.parse(s.default) for key, s in _SETTINGS.items() if command in s.commands}
+    common = sections.get("common", {})
+    settings.update({key: common[key] for key in settings.keys() & common.keys()})
+    settings.update(sections.get(command, {}))
+    for key in settings:
+        text = getattr(args, key, None)
+        if text is not None:
+            flag = "--" + key.replace("_", "-")
+            settings[key] = _parse(_SETTINGS[key].parse, key, text, f"flag {flag}")
+    return settings
+
+
+def make_inner_spec(settings: dict) -> InnerProductSpec:
+    if settings["adjoint"] == "h2beta":
+        return InnerProductSpec.h2_beta(settings["beta0"], settings["beta1"], settings["beta2"])
+    return InnerProductSpec.l2() if settings["adjoint"] == "l2" else InnerProductSpec.h2()
+
+
+def make_measurement_set(settings: dict) -> MeasurementSet:
+    indices = tuple(range(1, settings["measurements"] + 1))
+    if settings["family"] == "trig":
+        return MeasurementSet.trig(settings["alpha"], indices)
+    return MeasurementSet.special(indices)
 
 
 def cmd_phantom(settings: dict) -> int:
     out = fileio.ensure_dir(settings["out"])
-    mesh = generate_disk_mesh(_number(int, settings, "mesh_vertices"))
-    spec = make_phantom_spec(settings)
+    mesh = generate_disk_mesh(settings["mesh_vertices"])
+    spec = PhantomSpec(settings["background"], settings["inclusions"])
     field = phantom_field(spec, mesh)
-    floor = _number(float, settings, "sigma_floor")
+    floor = settings["sigma_floor"]
     if field.values.min() < floor:
         raise CliError(
             f"phantom violates admissibility: min {field.values.min():.4g} < "
@@ -224,19 +263,13 @@ def cmd_phantom(settings: dict) -> int:
 
 def cmd_simulate(settings: dict) -> int:
     out = fileio.ensure_dir(settings["out"])
-    mesh = generate_disk_mesh(_number(int, settings, "mesh_vertices"))
+    mesh = generate_disk_mesh(settings["mesh_vertices"])
     ms = make_measurement_set(settings)
-    spec = make_phantom_spec(settings)
+    spec = PhantomSpec(settings["background"], settings["inclusions"])
     data, fine_state = simulate_data(
-        spec,
-        ms,
-        mesh,
-        fine_vertex_count=_number(int, settings, "fine_vertices"),
-        sigma_floor=_number(float, settings, "sigma_floor"),
+        spec, ms, mesh, settings["fine_vertices"], sigma_floor=settings["sigma_floor"]
     )
-    noise = _number(float, settings, "noise")
-    seed = _number(int, settings, "seed")
-    noisy, delta_abs = add_noise(data, noise, seed)
+    noisy, delta_abs = add_noise(data, settings["noise"], settings["seed"])
 
     det_min = float("nan")
     if len(ms) >= 2:
@@ -254,21 +287,9 @@ def cmd_simulate(settings: dict) -> int:
         fileio.write_field_csv(
             os.path.join(out, f"E_noisy_{j:02d}.csv"), NodalField(mesh, noisy_row)
         )
-    fileio.write_key_values(
-        os.path.join(out, "data_info.txt"),
-        "data",
-        {
-            "mesh_vertices": settings["mesh_vertices"],
-            "fine_vertices": settings["fine_vertices"],
-            "alpha": parse_angle(settings["alpha"]),
-            "family": settings["family"],
-            "measurements": settings["measurements"],
-            "noise": noise,
-            "seed": seed,
-            "delta_abs": delta_abs,
-            "det_min_first_pair": det_min,
-        },
-    )
+    info = {key: settings[key] for key in _DATA_KEYS}
+    info.update(delta_abs=delta_abs, det_min_first_pair=det_min)
+    fileio.write_key_values(os.path.join(out, "data_info.txt"), "data", info)
     print(
         f"simulate: {len(ms)} power densities on {mesh.num_vertices} vertices "
         f"(fine mesh {fine_state.mesh.num_vertices}), delta_abs {delta_abs:.6g}, "
@@ -283,13 +304,13 @@ def cmd_reconstruct(settings: dict) -> int:
     info_path = os.path.join(data_dir, "data_info.txt")
     if not os.path.exists(info_path):
         raise CliError(f"no simulated data found at {info_path}; run simulate first")
-    info = fileio.read_key_values(info_path, "data")
-    for key in ("mesh_vertices", "alpha", "family", "measurements", "noise", "delta_abs"):
-        if key not in info:
+    text = fileio.read_key_values(info_path, "data")
+    for key in _DATA_INFO:
+        if key not in text:
             raise CliError(f"{info_path} lacks the key {key!r}; run simulate again")
-    info["config"] = info_path
+    info = {key: _parse(parse, key, text[key], info_path) for key, parse in _DATA_INFO.items()}
 
-    mesh = generate_disk_mesh(_number(int, info, "mesh_vertices"))
+    mesh = generate_disk_mesh(info["mesh_vertices"])
     mesh_path = os.path.join(data_dir, "mesh.txt")
     if _mesh_bytes(fileio.read_mesh(mesh_path)) != _mesh_bytes(mesh):
         raise CliError(
@@ -310,15 +331,11 @@ def cmd_reconstruct(settings: dict) -> int:
         truth = fileio.read_field_csv(truth_path, mesh)
 
     config = ReconstructionConfig(
-        tau=_number(float, settings, "tau"),
-        delta_rel=_number(float, info, "noise"),
-        sigma0=_number(float, settings, "sigma0"),
-        max_iter=_number(int, settings, "max_iter"),
+        delta_rel=info["noise"],
         spec=make_inner_spec(settings),
-        sigma_floor=_number(float, settings, "sigma_floor"),
-        safeguard=_parse_bool("safeguard", settings["safeguard"]),
+        **{key: settings[key] for key in ("tau", "sigma0", "max_iter", "sigma_floor", "safeguard")},
     )
-    delta_abs = _number(float, info, "delta_abs")
+    delta_abs = info["delta_abs"]
     sigma, log = run_landweber(config, noisy, delta_abs, ms, truth)
     discrepancy_reached = log.stop_reason == "discrepancy"
     if delta_abs > 0.0 and not discrepancy_reached:
@@ -361,22 +378,13 @@ def _mesh_bytes(mesh: Mesh) -> tuple[bytes, ...]:
     return tuple(a.tobytes() for a in arrays)
 
 
-def _truncate_value(settings: dict):
-    return _number(int, settings, "truncate") if settings["truncate"].strip() else None
-
-
 def cmd_svd(settings: dict) -> int:
     out = fileio.ensure_dir(settings["out"])
-    mesh = generate_disk_mesh(_number(int, settings, "mesh_vertices"))
+    mesh = generate_disk_mesh(settings["mesh_vertices"])
     ms = make_measurement_set(settings)
-    truth = phantom_field(make_phantom_spec(settings), mesh)
+    truth = phantom_field(PhantomSpec(settings["background"], settings["inclusions"]), mesh)
     T = assemble_transfer_matrix(truth, ms)
-    indices = tuple(
-        _number(int, settings, "svd_vectors", x)
-        for x in settings["svd_vectors"].split(",")
-        if x.strip()
-    )
-    report = svd_analyze(T, vector_indices=indices, truncate=_truncate_value(settings))
+    report = svd_analyze(T, settings["svd_vectors"], truncate=settings["truncate"])
     fileio.write_singular_values(
         os.path.join(out, "singular_values.csv"), report.singular_values
     )
@@ -389,7 +397,7 @@ def cmd_svd(settings: dict) -> int:
         os.path.join(out, "svd_summary.txt"),
         "svd_summary",
         {
-            "alpha": parse_angle(settings["alpha"]),
+            "alpha": settings["alpha"],
             "measurements": settings["measurements"],
             "condition_number": report.condition_number,
             "rank": len(report.singular_values),
@@ -404,9 +412,9 @@ def cmd_svd(settings: dict) -> int:
 
 def cmd_condition_table(settings: dict) -> int:
     out = fileio.ensure_dir(settings["out"])
-    mesh = generate_disk_mesh(_number(int, settings, "mesh_vertices"))
-    truth = phantom_field(make_phantom_spec(settings), mesh)
-    rows = condition_table(truth, truncate=_truncate_value(settings))
+    mesh = generate_disk_mesh(settings["mesh_vertices"])
+    truth = phantom_field(PhantomSpec(settings["background"], settings["inclusions"]), mesh)
+    rows = condition_table(truth, truncate=settings["truncate"])
     path = os.path.join(out, "condition_table.csv")
     fileio.write_condition_table(path, rows, TABLE_ANGLES)
     print(f"condition-table: wrote {len(rows)} rows x {len(TABLE_ANGLES)} angles to {path}")
@@ -430,21 +438,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--config", help="INI config file (section per command)")
-        p.add_argument("--alpha", help="accessible arc angle, e.g. 3pi/2")
-        p.add_argument("--measurements", type=int, help="number of boundary currents")
-        p.add_argument("--family", choices=["trig", "special"])
-        p.add_argument("--adjoint", choices=["l2", "h2", "h2beta"])
-        p.add_argument("--tau", type=float, help="discrepancy multiplier")
-        p.add_argument("--noise", type=float, help="relative noise level")
-        p.add_argument("--seed", type=int, help="noise RNG seed")
-        p.add_argument("--max-iter", dest="max_iter", type=int)
-        p.add_argument("--mesh-vertices", dest="mesh_vertices", type=int)
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--data", help="directory with simulated data (reconstruct)")
-        p.add_argument(
-            "--truncate", type=int, help="keep only the K largest singular values"
-        )
+        p.add_argument("--config", help="INI config file ([common] and a section per command)")
+        for key, setting in _SETTINGS.items():
+            if setting.flag is not None and name in setting.commands:
+                p.add_argument("--" + key.replace("_", "-"), help=setting.flag)
     return parser
 
 

@@ -415,10 +415,10 @@ def locate_points(mesh: Mesh, points: np.ndarray):
         Containing triangle per point, -1 where the nearest-vertex
         fallback was used.
     bary : (N, 3) float array
-        Barycentric coordinates (rows of tri_idx == -1 hold a 1 at the
-        nearest vertex's local slot of triangle 0; see ``interpolate``).
+        Barycentric coordinates; rows of tri_idx == -1 are zeros.
     nearest_vertex : (N,) int array
-        Nearest mesh vertex, used as the fallback.
+        Nearest mesh vertex where tri_idx == -1 (the fallback), -1 for
+        contained points.
     """
     from scipy.spatial import cKDTree
 
@@ -473,9 +473,11 @@ def locate_points(mesh: Mesh, points: np.ndarray):
         nudged = points[miss] * (1.0 - shrink)
         try_assign(nudged, miss, k=min(32, mesh.num_triangles), tol=1e-9)
 
-    vtree = cKDTree(mesh.vertices)
-    _, nearest_vertex = vtree.query(points)
-    return tri_idx, bary, np.atleast_1d(nearest_vertex)
+    nearest_vertex = np.full(n, -1, dtype=np.int64)
+    miss = np.flatnonzero(tri_idx < 0)
+    if miss.size:
+        _, nearest_vertex[miss] = cKDTree(mesh.vertices).query(points[miss])
+    return tri_idx, bary, nearest_vertex
 
 
 def interpolate(mesh: Mesh, values: np.ndarray, points: np.ndarray) -> np.ndarray:

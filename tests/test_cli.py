@@ -1,3 +1,4 @@
+import argparse
 import math
 import os
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from aet2d import fileio
-from aet2d.cli import CliError, main, parse_angle
+from aet2d.cli import CliError, build_parser, main, parse_angle
 from aet2d.mesh import generate_disk_mesh
 from reference import read_iteration_log
 
@@ -30,7 +31,9 @@ def test_parse_angle():
 def test_zero_divisor_angle_exits_2(tmp_path, capsys):
     code = run_cli("svd", "--alpha", "pi/0", "--mesh-vertices", 100, "--out", tmp_path / "s")
     assert code == 2
-    assert "cannot parse angle 'pi/0'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "cannot parse angle 'pi/0'" in err
+    assert "error: flag --alpha: alpha = 'pi/0' is not an angle" in err
 
 
 def test_phantom_command_default(tmp_path, capsys):
@@ -334,7 +337,11 @@ def test_unknown_family_fails(tmp_path, capsys):
     cfg.write_text("[simulate]\nfamily = fourier\n")
     code = run_cli("simulate", "--config", cfg, "--out", tmp_path / "x")
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert f"{cfg}: family = 'fourier' is not a family (expected one of trig," in err
+    assert run_cli("svd", "--family", "fourier", "--out", tmp_path / "x") == 2
+    assert "error: flag --family: family = 'fourier' is not a family" in capsys.readouterr().err
 
 
 def test_config_rejects_an_unknown_key(tmp_path, capsys):
@@ -357,14 +364,16 @@ def test_config_names_a_bad_integer(tmp_path, capsys):
     cfg = tmp_path / "int.ini"
     cfg.write_text("[phantom]\nmesh_vertices = 2k\n")
     assert run_cli("phantom", "--config", cfg, "--out", tmp_path / "o") == 2
-    assert f"error: {cfg}: mesh_vertices = '2k' is not an integer" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: {cfg}: mesh_vertices = '2k' is not an integer, in section [phantom]" in err
 
 
 def test_config_names_a_bad_float(tmp_path, capsys):
     cfg = tmp_path / "float.ini"
     cfg.write_text("[common]\nmesh_vertices = 200\nsigma_floor = 0,1\n")
     assert run_cli("phantom", "--config", cfg, "--out", tmp_path / "o") == 2
-    assert f"error: {cfg}: sigma_floor = '0,1' is not a number" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: {cfg}: sigma_floor = '0,1' is not a number, in section [common]" in err
 
 
 def test_config_names_a_bad_svd_vectors_entry(tmp_path, capsys):
@@ -398,7 +407,10 @@ def test_reconstruct_rejects_a_misspelt_boolean(sim_dir, tmp_path, capsys):
         "--max-iter", 1,
     )
     assert code == 2
-    assert "safeguard = 'ture' is not a boolean" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "safeguard = 'ture' is not a boolean" in err
+    assert f"error: {cfg}: safeguard = 'ture' is not a boolean (expected one of 1," in err
+    assert "in section [reconstruct]" in err
     assert not (tmp_path / "r" / "reconstruction.csv").exists()
 
 
@@ -421,3 +433,101 @@ def test_reconstruct_rejects_data_info_without_a_section_header(sim_dir, tmp_pat
     assert f"cannot read {info}" in capsys.readouterr().err
     with pytest.raises(ValueError, match="has no \\[summary\\] section"):
         fileio.read_key_values(sim_dir / "data_info.txt", "summary")
+
+
+@pytest.mark.parametrize(
+    "section, key, text, reason",
+    [
+        ("phantom", "mesh_vertices", "2k", "is not an integer"),
+        ("common", "sigma_floor", "0,1", "is not a number"),
+        ("simulate", "noise", "5%", "is not a number"),
+        ("svd", "alpha", "3pie/2", "is not an angle (cannot parse angle '3pie/2')"),
+        ("reconstruct", "safeguard", "ture", "is not a boolean"),
+        ("condition-table", "truncate", "ten", "is not an integer"),
+        ("svd", "inclusions", "disc 0 0 0.3 2", "has a bad inclusion spec 'disc 0 0 0.3 2'"),
+        ("simulate", "inclusions", "disc 0 0 0.3 2 w", "('w') is not a number"),
+    ],
+)
+def test_every_config_section_is_parsed_when_it_loads(tmp_path, capsys, section, key, text, reason):
+    # phantom reads none of these sections but the first: each value
+    # still parses when the file loads, and an error names the file, the
+    # section, the key and the value
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[{section}]\n{key} = {text}\n")
+    assert run_cli("phantom", "--config", cfg, "--out", tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert f"error: {cfg}: {key} = {text!r} {reason}" in err
+    assert f", in section [{section}]" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, text, reason",
+    [
+        ("phantom", "--mesh-vertices", "2k", "is not an integer"),
+        ("simulate", "--noise", "5%", "is not a number"),
+        ("svd", "--alpha", "3pie/2", "is not an angle (cannot parse angle '3pie/2')"),
+        ("reconstruct", "--max-iter", "1e3", "is not an integer"),
+        ("condition-table", "--truncate", "x", "is not an integer"),
+    ],
+)
+def test_a_bad_flag_names_the_flag_key_and_value(tmp_path, capsys, command, flag, text, reason):
+    assert run_cli(command, flag, text, "--out", tmp_path / "o") == 2
+    key = flag[2:].replace("-", "_")
+    assert f"error: flag {flag}: {key} = {text!r} {reason}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_rejects_an_unknown_section(tmp_path, capsys):
+    cfg = tmp_path / "typo.ini"
+    cfg.write_text("[common]\nmesh_vertices = 200\n\n[reconstuct]\nmax_iter = 5\n")
+    assert run_cli("phantom", "--config", cfg, "--out", tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert f"error: {cfg}: unknown section [reconstuct] (expected [common] or a command)" in err
+    # [DEFAULT] is no section of this config either
+    cfg.write_text("[DEFAULT]\nmax_iter = 5\n")
+    assert run_cli("phantom", "--config", cfg, "--out", tmp_path / "o") == 2
+    assert f"error: {cfg}: unknown section [DEFAULT]" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_rejects_a_key_its_section_command_does_not_read(tmp_path, capsys):
+    cfg = tmp_path / "misplaced.ini"
+    cfg.write_text("[reconstruct]\nmax_iter = 5\nmesh_vertices = 5000\n")
+    assert run_cli("phantom", "--config", cfg, "--out", tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert f"error: {cfg}, section [reconstruct]: reconstruct does not read 'mesh_vertices'" in err
+    assert not (tmp_path / "o").exists()
+    # [common] holds any known key; a command ignores those it does not read
+    cfg.write_text("[common]\nmax_iter = 5\nmesh_vertices = 200\nalpha = pi\n")
+    assert run_cli("phantom", "--config", cfg, "--out", tmp_path / "o") == 0
+    assert f"phantom: {generate_disk_mesh(200).num_vertices} vertices" in capsys.readouterr().out
+
+
+def test_subcommand_rejects_a_flag_its_command_does_not_read(tmp_path, capsys):
+    ignored = (
+        "--alpha pi/2 --measurements 1 --family special --mesh-vertices 5000 "
+        "--noise 0.9 --seed 3 --truncate 2"
+    )
+    with pytest.raises(SystemExit) as exc:
+        run_cli("reconstruct", "--data", tmp_path, *ignored.split())
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {ignored}" in capsys.readouterr().err
+
+
+def test_each_subcommand_takes_the_flags_its_command_reads():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        name: {s for action in parser._actions for s in action.option_strings} - {"-h", "--help"}
+        for name, parser in sub.choices.items()
+    }
+    common = {"--config", "--out"}
+    assert flags == {
+        "phantom": common | {"--mesh-vertices"},
+        "simulate": common
+        | {"--mesh-vertices", "--alpha", "--measurements", "--family", "--noise", "--seed"},
+        "reconstruct": common | {"--data", "--adjoint", "--tau", "--max-iter"},
+        "svd": common | {"--mesh-vertices", "--alpha", "--measurements", "--family", "--truncate"},
+        "condition-table": common | {"--mesh-vertices", "--truncate"},
+    }
+    assert sum(map(len, flags.values())) == 28

@@ -133,10 +133,18 @@ def test_interpolate_stack_equals_columns(mesh2000, mesh500, rng):
     # nearest-vertex fallback
     values = rng.standard_normal((mesh2000.num_vertices, 3))
     pts = np.vstack([mesh500.vertices, [[1.5, 0.0], [0.0, -2.0]]])
-    tri_idx, _, _ = locate_points(mesh2000, pts)
-    assert np.any(tri_idx < 0)
+    tri_idx, bary, nearest = locate_points(mesh2000, pts)
+    miss = np.flatnonzero(tri_idx < 0)
+    assert miss.size
+    assert np.all(nearest[tri_idx >= 0] == -1)
+    assert not bary[miss].any()
     stacked = interpolate(mesh2000, values, pts)
     assert stacked.shape == (pts.shape[0], 3)
+    # the far points take the value at the brute-force nearest vertex
+    for row in (-2, -1):
+        assert row + pts.shape[0] in miss
+        d = np.hypot(*(mesh2000.vertices - pts[row]).T)
+        assert stacked[row].tobytes() == values[np.argmin(d)].tobytes()
     for col in range(3):
         single = interpolate(mesh2000, np.ascontiguousarray(values[:, col]), pts)
         assert single.shape == (pts.shape[0],)
