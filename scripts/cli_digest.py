@@ -6,11 +6,14 @@ Runs ``phantom``, ``simulate``, ``reconstruct``, ``svd`` and
 CLI setting is pinned: a flag, or the config section of a command that
 reads it, sets it, to a non-default value where the runs allow. It then
 prints one ``<sha256>  <path>`` line per written file, in path order.
-The commands' own messages go to stderr. Next it runs ``simulate_data``,
-``add_noise`` and ``run_landweber`` through the package's public API for
-three angles and the L2, H2 and H2_beta inner products, and prints one
-``<sha256>  library/<run>/<array>`` line for the noisy data and noise
-level, the final iterate, each iteration-log array and the stop reason.
+The commands' own messages go to stderr. One ``reconstruct`` runs in
+L2 through a second config, ``L2_CONFIG``, which sets beta1 = beta2 = 0;
+it is written outside that directory, so it adds no line. Next it runs
+``simulate_data``, ``add_noise`` and ``run_landweber`` through the
+package's public API for three angles and the L2, H2 and H2_beta inner
+products, and prints one ``<sha256>  library/<run>/<array>`` line for
+the noisy data and noise level, the final iterate, each iteration-log
+array and the stop reason.
 Last come ``<sha256>  mesh/<n>/<array>`` lines for the four arrays of
 ``generate_disk_mesh(n)`` at the bench's mesh sizes, the 40000-vertex
 data mesh included, each hashed with its dtype and shape. Every input is
@@ -40,7 +43,6 @@ fine_vertices = 3000
 
 [reconstruct]
 sigma0 = 1.4
-beta0 = 0.5
 beta1 = 2e-3
 beta2 = 1e-5
 sigma_floor = 0.2
@@ -58,15 +60,18 @@ truncate = 40
 mesh_vertices = 150
 """
 
+L2_CONFIG = CONFIG.replace("beta1 = 2e-3\nbeta2 = 1e-5", "beta1 = 0\nbeta2 = 0")
+
+# (config, argv) of each command, in order.
 COMMANDS = (
-    ["phantom", "--out", "phantom"],
-    ["simulate", "--alpha", "3pi/2", "--noise", "0.05", "--seed", "7", "--out", "trig"],
-    ["reconstruct", "--data", "trig", "--max-iter", "300", "--out", "trig/recon"],
-    ["simulate", "--family", "special", "--noise", "0", "--out", "special"],
-    ["reconstruct", "--data", "special", "--adjoint", "l2", "--max-iter", "30",
-     "--out", "special/recon"],
-    ["svd", "--alpha", "pi", "--measurements", "2", "--out", "svd"],
-    ["condition-table", "--out", "table"],
+    ("cli.ini", ["phantom", "--out", "phantom"]),
+    ("cli.ini",
+     ["simulate", "--alpha", "3pi/2", "--noise", "0.05", "--seed", "7", "--out", "trig"]),
+    ("cli.ini", ["reconstruct", "--data", "trig", "--max-iter", "300", "--out", "trig/recon"]),
+    ("cli.ini", ["simulate", "--family", "special", "--noise", "0", "--out", "special"]),
+    ("l2.ini", ["reconstruct", "--data", "special", "--max-iter", "30", "--out", "special/recon"]),
+    ("cli.ini", ["svd", "--alpha", "pi", "--measurements", "2", "--out", "svd"]),
+    ("cli.ini", ["condition-table", "--out", "table"]),
 )
 
 
@@ -105,7 +110,6 @@ def library_digests():
         for name in LIBRARY_SPECS:
             config = aet2d.ReconstructionConfig(
                 tau=1.0,
-                delta_rel=LIBRARY_NOISE,
                 max_iter=LIBRARY_MAX_ITER,
                 spec=getattr(aet2d.InnerProductSpec, name)(),
             )
@@ -144,14 +148,16 @@ def digests(root):
 
 def run() -> int:
     cwd = os.getcwd()
-    with tempfile.TemporaryDirectory() as root:
+    with tempfile.TemporaryDirectory() as root, tempfile.TemporaryDirectory() as aside:
         os.chdir(root)
         try:
-            with open("cli.ini", "w") as fp:
-                fp.write(CONFIG)
-            for argv in COMMANDS:
+            configs = {"cli.ini": "cli.ini", "l2.ini": os.path.join(aside, "l2.ini")}
+            for name, text in (("cli.ini", CONFIG), ("l2.ini", L2_CONFIG)):
+                with open(configs[name], "w") as fp:
+                    fp.write(text)
+            for config, argv in COMMANDS:
                 with contextlib.redirect_stdout(sys.stderr):
-                    code = main([argv[0], "--config", "cli.ini", *argv[1:]])
+                    code = main([argv[0], "--config", configs[config], *argv[1:]])
                 if code != 0:
                     print(f"{' '.join(argv)} exited with {code}", file=sys.stderr)
                     return code

@@ -94,8 +94,20 @@ def _entry(parse: Callable[[str], object], text: str):
         raise ValueError(f"({text!r}) {exc}") from None
 
 
-def _optional_int(text: str) -> int | None:
-    return _int(text) if text.strip() else None
+def _at_least(low: int, parse: Callable[[str], object]) -> Callable[[str], object]:
+    """``parse``, then require a value >= ``low``."""
+
+    def parse_bounded(text):
+        value = parse(text)
+        if not value >= low:
+            raise ValueError(f"must be >= {low}")
+        return value
+
+    return parse_bounded
+
+
+def _optional_count(text: str) -> int | None:
+    return _at_least(1, _int)(text) if text.strip() else None
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -138,7 +150,6 @@ _PHANTOM = ("phantom", "simulate", "svd", "condition-table")
 _MEASURE = ("simulate", "svd")
 _RECON = ("reconstruct",)
 _FAMILIES = dict(trig="trig", trig_limited="trig", special="special", special_full="special")
-_ADJOINTS = dict(l2="l2", h2="h2", h2beta="h2beta")
 
 # Every parameter. A config section or a subcommand accepts a key only
 # if its command reads it; [common] accepts every key.
@@ -148,13 +159,11 @@ _SETTINGS = {
     "alpha": _Setting(_angle, "2pi", _MEASURE, "accessible arc angle, e.g. 3pi/2"),
     "measurements": _Setting(_int, "3", _MEASURE, "number of boundary currents"),
     "family": _Setting(_choice("a family", _FAMILIES), "trig", _MEASURE, "trig or special"),
-    "adjoint": _Setting(_choice("an adjoint", _ADJOINTS), "h2beta", _RECON, "l2, h2 or h2beta"),
-    "beta0": _Setting(_float, "1.0", _RECON),
-    "beta1": _Setting(_float, "1e-3", _RECON),
-    "beta2": _Setting(_float, "1e-6", _RECON),
+    "beta1": _Setting(_at_least(0, _float), "1e-3", _RECON),
+    "beta2": _Setting(_at_least(0, _float), "1e-6", _RECON),
     "tau": _Setting(_float, "1.0", _RECON, "discrepancy multiplier"),
-    "noise": _Setting(_float, "0.0", ("simulate",), "relative noise level"),
-    "seed": _Setting(_int, "0", ("simulate",), "noise RNG seed"),
+    "noise": _Setting(_at_least(0, _float), "0.0", ("simulate",), "relative noise level"),
+    "seed": _Setting(_at_least(0, _int), "0", ("simulate",), "noise RNG seed"),
     "max_iter": _Setting(_int, "1000", _RECON, "Landweber iteration limit"),
     "sigma0": _Setting(_float, "1.5", _RECON),
     "sigma_floor": _Setting(_float, "0.1", ("phantom", "simulate", "reconstruct")),
@@ -163,14 +172,14 @@ _SETTINGS = {
     "inclusions": _Setting(_inclusions, "default", _PHANTOM),
     "out": _Setting(str, "out", _ALL, "output directory"),
     "data": _Setting(str, "", _RECON, "directory with simulated data (default: --out)"),
-    "truncate": _Setting(_optional_int, "", ("svd", "condition-table"), "singular values kept"),
+    "truncate": _Setting(_optional_count, "", ("svd", "condition-table"), "singular values kept"),
     "svd_vectors": _Setting(_int_list, "", ("svd",)),
 }
 
 # The settings that simulate records in data_info.txt, and the keys of
 # that file that reconstruct reads, with their parsers.
 _DATA_KEYS = ("mesh_vertices", "fine_vertices", "alpha", "family", "measurements", "noise", "seed")
-_DATA_INFO = {k: _SETTINGS[k].parse for k in _DATA_KEYS if k not in ("fine_vertices", "seed")}
+_DATA_INFO = {k: _SETTINGS[k].parse for k in ("mesh_vertices", "alpha", "family", "measurements")}
 _DATA_INFO["delta_abs"] = _float
 
 
@@ -226,21 +235,19 @@ def load_settings(command: str, args: argparse.Namespace) -> dict:
     return settings
 
 
-def make_inner_spec(settings: dict) -> InnerProductSpec:
-    if settings["adjoint"] == "h2beta":
-        return InnerProductSpec.h2_beta(settings["beta0"], settings["beta1"], settings["beta2"])
-    return InnerProductSpec.l2() if settings["adjoint"] == "l2" else InnerProductSpec.h2()
-
-
 def make_measurement_set(settings: dict) -> MeasurementSet:
     indices = tuple(range(1, settings["measurements"] + 1))
     if settings["family"] == "trig":
         return MeasurementSet.trig(settings["alpha"], indices)
+    if settings["alpha"] != 2.0 * math.pi:
+        raise CliError(
+            f"family = special drives the whole boundary, so alpha = {settings['alpha']!r} "
+            "would be ignored; leave alpha at 2pi"
+        )
     return MeasurementSet.special(indices)
 
 
 def cmd_phantom(settings: dict) -> int:
-    out = fileio.ensure_dir(settings["out"])
     mesh = generate_disk_mesh(settings["mesh_vertices"])
     spec = PhantomSpec(settings["background"], settings["inclusions"])
     field = phantom_field(spec, mesh)
@@ -250,6 +257,7 @@ def cmd_phantom(settings: dict) -> int:
             f"phantom violates admissibility: min {field.values.min():.4g} < "
             f"floor {floor}"
         )
+    out = fileio.ensure_dir(settings["out"])
     fileio.write_field_csv(os.path.join(out, "phantom.csv"), field)
     fileio.write_field_vtk(os.path.join(out, "phantom.vtk"), field, name="conductivity")
     plateaus = sorted(inc.plateau for inc in spec.inclusions)
@@ -262,7 +270,6 @@ def cmd_phantom(settings: dict) -> int:
 
 
 def cmd_simulate(settings: dict) -> int:
-    out = fileio.ensure_dir(settings["out"])
     mesh = generate_disk_mesh(settings["mesh_vertices"])
     ms = make_measurement_set(settings)
     spec = PhantomSpec(settings["background"], settings["inclusions"])
@@ -276,6 +283,7 @@ def cmd_simulate(settings: dict) -> int:
         u1, u2 = (NodalField(fine_state.mesh, u) for u in fine_state.potentials.values[:2])
         _, det_min = determinant_diagnostic(u1, u2)
 
+    out = fileio.ensure_dir(settings["out"])
     fileio.write_mesh(os.path.join(out, "mesh.txt"), mesh)
     fileio.write_field_csv(
         os.path.join(out, "truth.csv"), phantom_field(spec, mesh)
@@ -299,7 +307,6 @@ def cmd_simulate(settings: dict) -> int:
 
 
 def cmd_reconstruct(settings: dict) -> int:
-    out = fileio.ensure_dir(settings["out"])
     data_dir = settings["data"] or settings["out"]
     info_path = os.path.join(data_dir, "data_info.txt")
     if not os.path.exists(info_path):
@@ -331,8 +338,7 @@ def cmd_reconstruct(settings: dict) -> int:
         truth = fileio.read_field_csv(truth_path, mesh)
 
     config = ReconstructionConfig(
-        delta_rel=info["noise"],
-        spec=make_inner_spec(settings),
+        spec=InnerProductSpec(settings["beta1"], settings["beta2"]),
         **{key: settings[key] for key in ("tau", "sigma0", "max_iter", "sigma_floor", "safeguard")},
     )
     delta_abs = info["delta_abs"]
@@ -347,6 +353,7 @@ def cmd_reconstruct(settings: dict) -> int:
             file=sys.stderr,
         )
 
+    out = fileio.ensure_dir(settings["out"])
     fileio.write_field_csv(os.path.join(out, "reconstruction.csv"), sigma)
     fileio.write_field_vtk(
         os.path.join(out, "reconstruction.vtk"), sigma, name="conductivity"
@@ -379,17 +386,17 @@ def _mesh_bytes(mesh: Mesh) -> tuple[bytes, ...]:
 
 
 def cmd_svd(settings: dict) -> int:
-    out = fileio.ensure_dir(settings["out"])
     mesh = generate_disk_mesh(settings["mesh_vertices"])
     ms = make_measurement_set(settings)
     truth = phantom_field(PhantomSpec(settings["background"], settings["inclusions"]), mesh)
     T = assemble_transfer_matrix(truth, ms)
     report = svd_analyze(T, settings["svd_vectors"], truncate=settings["truncate"])
+    out = fileio.ensure_dir(settings["out"])
     fileio.write_singular_values(
         os.path.join(out, "singular_values.csv"), report.singular_values
     )
-    fileio.write_singular_vectors(os.path.join(out, "singvec_{:04d}.csv"), report)
     for k, vec in zip(report.vector_indices, report.vectors):
+        fileio.write_field_csv(os.path.join(out, f"singvec_{k:04d}.csv"), vec)
         fileio.write_field_vtk(
             os.path.join(out, f"singvec_{k:04d}.vtk"), vec, name="singular_vector"
         )
@@ -411,11 +418,10 @@ def cmd_svd(settings: dict) -> int:
 
 
 def cmd_condition_table(settings: dict) -> int:
-    out = fileio.ensure_dir(settings["out"])
     mesh = generate_disk_mesh(settings["mesh_vertices"])
     truth = phantom_field(PhantomSpec(settings["background"], settings["inclusions"]), mesh)
     rows = condition_table(truth, truncate=settings["truncate"])
-    path = os.path.join(out, "condition_table.csv")
+    path = os.path.join(fileio.ensure_dir(settings["out"]), "condition_table.csv")
     fileio.write_condition_table(path, rows, TABLE_ANGLES)
     print(f"condition-table: wrote {len(rows)} rows x {len(TABLE_ANGLES)} angles to {path}")
     return 0

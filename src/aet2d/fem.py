@@ -23,6 +23,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -83,36 +84,35 @@ class NodalField:
 
 @dataclass(frozen=True)
 class InnerProductSpec:
-    """Domain-space inner product: L2, H2, or weighted H2.
+    """Domain-space inner product (u, v) + beta1 (grad u, grad v) + beta2 (Lu, Lv).
 
-    ``H2`` is the weighted form with all weights 1; ``L2`` keeps only the
-    zeroth-order block (the Gram matrix degenerates to the mass matrix).
+    The zeroth-order weight is 1: scaling the whole Gram matrix by c
+    divides the Landweber direction by c and multiplies its steepest-descent
+    stepsize by c, so it moves no iterate. beta1 = beta2 = 0 is L2, and
+    beta1 = beta2 = 1 is H2.
     """
 
-    mode: str
-    beta0: float = 1.0
-    beta1: float = 1.0
-    beta2: float = 1.0
-
-    _MODES = ("L2", "H2", "H2_beta")
+    beta1: float = 1e-3
+    beta2: float = 1e-6
 
     def __post_init__(self):
-        if self.mode not in self._MODES:
-            raise ValueError(f"mode must be one of {self._MODES}, got {self.mode!r}")
-        if min(self.beta0, self.beta1, self.beta2) <= 0.0:
-            raise ValueError("inner-product weights must be positive")
+        if not (0.0 <= self.beta1 < math.inf and 0.0 <= self.beta2 < math.inf):
+            raise ValueError(
+                f"inner-product weights must be finite and >= 0, got "
+                f"beta1 = {self.beta1!r}, beta2 = {self.beta2!r}"
+            )
 
     @classmethod
     def l2(cls) -> "InnerProductSpec":
-        return cls("L2")
+        return cls(0.0, 0.0)
 
     @classmethod
     def h2(cls) -> "InnerProductSpec":
-        return cls("H2")
+        return cls(1.0, 1.0)
 
     @classmethod
-    def h2_beta(cls, beta0=1.0, beta1=1e-3, beta2=1e-6) -> "InnerProductSpec":
-        return cls("H2_beta", beta0, beta1, beta2)
+    def h2_beta(cls) -> "InnerProductSpec":
+        return cls()
 
 
 def triangle_average(mesh: Mesh, values: np.ndarray) -> np.ndarray:
@@ -263,21 +263,21 @@ def _check_residual(what: str, resid: np.ndarray, scale: np.ndarray, label: str)
 
 
 def gram_matrix(mesh: Mesh, spec: InnerProductSpec) -> sparse.csr_matrix:
-    """Gram matrix of the selected domain inner product.
+    """Gram matrix of the domain inner product ``spec``.
 
-    L2: ``mesh.mass`` itself. H2 / H2_beta: beta0*M + beta1*K1 + beta2*G2
-    with K1 the unit-conductivity stiffness and G2 = L^T M L the discrete
-    Laplacian surrogate (L = lumped-mass inverse times K1); symmetric
-    positive definite for positive weights.
+    L2 (beta1 = beta2 = 0): ``mesh.mass`` itself. Otherwise
+    M + beta1*K1 + beta2*G2 with K1 the unit-conductivity stiffness and
+    G2 = L^T M L the discrete Laplacian surrogate (L = lumped-mass inverse
+    times K1); symmetric positive definite.
     """
     m = mesh.mass
-    if spec.mode == "L2":
+    if spec.beta1 == 0.0 and spec.beta2 == 0.0:
         return m
     k1 = unit_stiffness(mesh)
     lump_inv = sparse.diags(1.0 / np.asarray(m.sum(axis=1)).ravel())
     lap = lump_inv @ k1
     g2 = (lap.T @ m @ lap).tocsr()
-    g = (spec.beta0 * m + spec.beta1 * k1 + spec.beta2 * g2).tocsr()
+    g = (m + spec.beta1 * k1 + spec.beta2 * g2).tocsr()
     return ((g + g.T) * 0.5).tocsr()
 
 

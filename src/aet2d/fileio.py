@@ -13,7 +13,6 @@ import os
 import numpy as np
 
 from .fem import NodalField
-from .illposed import SvdReport
 from .inversion import IterationLog
 from .mesh import Mesh
 
@@ -184,16 +183,6 @@ def write_condition_table(path, rows, angles) -> None:
             cells = [str(len(combo)), "g" + "+g".join(str(j) for j in combo)]
             cells += [_fmt(row[a]) for a in angles]
             fp.write(",".join(cells) + "\n")
-
-
-def write_singular_vectors(path_pattern, report: SvdReport) -> list[str]:
-    """Write each selected singular vector; pattern gets the 1-based rank."""
-    paths = []
-    for k, vec in zip(report.vector_indices, report.vectors):
-        path = str(path_pattern).format(k)
-        write_field_csv(path, vec)
-        paths.append(path)
-    return paths
 
 
 def write_key_values(path, section: str, entries: dict) -> None:

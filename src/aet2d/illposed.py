@@ -117,17 +117,15 @@ def singular_values(matrix: np.ndarray) -> np.ndarray:
     return np.linalg.svd(matrix, compute_uv=False)
 
 
-def _truncated(s: np.ndarray, truncate: int | None) -> np.ndarray:
-    if truncate is None:
-        return s
-    if int(truncate) < 1:
+def _check_truncate(truncate: int | None) -> None:
+    if truncate is not None and truncate < 1:
         raise ValueError(f"truncate must keep at least one singular value, got {truncate}")
-    return s[: int(truncate)]
 
 
 def condition_number(matrix: np.ndarray, truncate: int | None = None) -> float:
     """Ratio of largest to smallest retained singular value."""
-    s = _truncated(singular_values(matrix), truncate)
+    _check_truncate(truncate)
+    s = singular_values(matrix)[:truncate]
     return float(s[0] / s[-1])
 
 
@@ -143,8 +141,9 @@ def svd_analyze(
     the spectrum are skipped with a warning. ``truncate`` drops trailing
     singular values before forming the condition number only.
     """
+    _check_truncate(truncate)
     _, s, vt = np.linalg.svd(T.matrix, full_matrices=False)
-    kept = _truncated(s, truncate)
+    kept = s[:truncate]
     vectors = []
     indices = []
     for k in vector_indices:
@@ -247,6 +246,7 @@ def condition_table(
         One row per combination with key ``indices`` and one condition
         number per angle (keyed by the angle value).
     """
+    _check_truncate(truncate)
     all_indices = tuple(sorted({j for combo in combos for j in combo}))
     rows = [{"indices": combo} for combo in combos]
     for alpha in angles:

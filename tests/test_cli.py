@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from aet2d import fileio
+from aet2d import cli, fileio
 from aet2d.cli import CliError, build_parser, main, parse_angle
 from aet2d.mesh import generate_disk_mesh
 from reference import read_iteration_log
@@ -52,7 +52,8 @@ def test_phantom_rejects_inadmissible_background(tmp_path, capsys):
     cfg.write_text("[phantom]\nbackground = 0.05\ninclusions =\nmesh_vertices = 200\n")
     code = run_cli("phantom", "--config", cfg, "--out", tmp_path / "o")
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    assert "error: phantom violates admissibility" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_phantom_accepts_low_background_above_floor(tmp_path):
@@ -194,8 +195,6 @@ def test_reconstruct_command(sim_dir, tmp_path):
         sim_dir,
         "--out",
         out,
-        "--adjoint",
-        "h2beta",
         "--tau",
         "1.0",
         "--max-iter",
@@ -273,6 +272,7 @@ def test_reconstruct_rejects_a_mesh_that_differs(sim_dir, tmp_path, capsys):
     assert "mesh.txt differs from the mesh that mesh_vertices = 400 generates" in (
         capsys.readouterr().err
     )
+    assert not (tmp_path / "r").exists()
     (data / "mesh.txt").write_text("".join(lines[:-1]))
     assert run_cli("reconstruct", "--data", data, "--out", tmp_path / "r") == 2
     assert "mesh.txt, line" in capsys.readouterr().err
@@ -446,6 +446,8 @@ def test_reconstruct_rejects_data_info_without_a_section_header(sim_dir, tmp_pat
         ("condition-table", "truncate", "ten", "is not an integer"),
         ("svd", "inclusions", "disc 0 0 0.3 2", "has a bad inclusion spec 'disc 0 0 0.3 2'"),
         ("simulate", "inclusions", "disc 0 0 0.3 2 w", "('w') is not a number"),
+        ("svd", "truncate", "0", "must be >= 1"),
+        ("reconstruct", "beta2", "-1e-6", "must be >= 0"),
     ],
 )
 def test_every_config_section_is_parsed_when_it_loads(tmp_path, capsys, section, key, text, reason):
@@ -469,9 +471,20 @@ def test_every_config_section_is_parsed_when_it_loads(tmp_path, capsys, section,
         ("svd", "--alpha", "3pie/2", "is not an angle (cannot parse angle '3pie/2')"),
         ("reconstruct", "--max-iter", "1e3", "is not an integer"),
         ("condition-table", "--truncate", "x", "is not an integer"),
+        ("svd", "--truncate", "0", "must be >= 1"),
+        ("condition-table", "--truncate", "0", "must be >= 1"),
+        ("simulate", "--noise", "-0.1", "must be >= 0"),
+        ("simulate", "--seed", "-1", "must be >= 0"),
     ],
 )
-def test_a_bad_flag_names_the_flag_key_and_value(tmp_path, capsys, command, flag, text, reason):
+def test_a_bad_flag_names_the_flag_key_and_value(
+    tmp_path, capsys, monkeypatch, command, flag, text, reason
+):
+    # the flag fails when it loads, before any mesh is built
+    def no_mesh(*args):
+        raise AssertionError("a mesh was generated before the flags were checked")
+
+    monkeypatch.setattr(cli, "generate_disk_mesh", no_mesh)
     assert run_cli(command, flag, text, "--out", tmp_path / "o") == 2
     key = flag[2:].replace("-", "_")
     assert f"error: flag {flag}: {key} = {text!r} {reason}" in capsys.readouterr().err
@@ -526,8 +539,57 @@ def test_each_subcommand_takes_the_flags_its_command_reads():
         "phantom": common | {"--mesh-vertices"},
         "simulate": common
         | {"--mesh-vertices", "--alpha", "--measurements", "--family", "--noise", "--seed"},
-        "reconstruct": common | {"--data", "--adjoint", "--tau", "--max-iter"},
+        "reconstruct": common | {"--data", "--tau", "--max-iter"},
         "svd": common | {"--mesh-vertices", "--alpha", "--measurements", "--family", "--truncate"},
         "condition-table": common | {"--mesh-vertices", "--truncate"},
     }
-    assert sum(map(len, flags.values())) == 28
+    assert sum(map(len, flags.values())) == 27
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["phantom", "--mesh-vertices", "0"],
+        ["svd", "--mesh-vertices", "60", "--measurements", "0"],
+    ],
+)
+def test_a_failed_command_leaves_no_output_directory(tmp_path, capsys, argv):
+    assert run_cli(*argv, "--out", tmp_path / "o") == 2
+    assert "error: " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_special_family_rejects_an_arc_it_would_ignore(sim_dir, tmp_path, capsys):
+    for command in ("simulate", "svd"):
+        argv = (command, "--family", "special", "--alpha", "pi/2", "--mesh-vertices", 60)
+        assert run_cli(*argv, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert "error: family = special drives the whole boundary" in err
+        assert f"alpha = {math.pi / 2!r} would be ignored" in err
+        assert not (tmp_path / "o").exists()
+    # the same check guards data that records such a pair
+    data = _copy_data(sim_dir, tmp_path / "data")
+    info = data / "data_info.txt"
+    lines = info.read_text().splitlines(keepends=True)
+    info.write_text("".join("alpha = pi\n" if ln.startswith("alpha") else ln for ln in lines))
+    assert run_cli("reconstruct", "--data", data, "--out", tmp_path / "r", "--max-iter", 1) == 2
+    assert f"alpha = {math.pi!r} would be ignored" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_reconstruct_reads_every_beta_and_no_noise_record(sim_dir, tmp_path):
+    # the noise level is not read back: delta_abs is the one noise figure
+    data = _copy_data(sim_dir, tmp_path / "data")
+    info = data / "data_info.txt"
+    lines = info.read_text().splitlines(keepends=True)
+    info.write_text("".join(ln for ln in lines if not ln.startswith("noise")))
+    logs = set()
+    betas = ("", "beta1 = 0\nbeta2 = 0\n", "beta1 = 7\nbeta2 = 3\n", "beta1 = 7\n")
+    for run, text in enumerate(betas):
+        cfg = tmp_path / "betas.ini"
+        cfg.write_text(f"[reconstruct]\n{text}")
+        out = tmp_path / f"r{run}"
+        argv = ("--config", cfg, "--data", data, "--out", out, "--max-iter", 3)
+        assert run_cli("reconstruct", *argv) == 0
+        logs.add((out / "iterations.csv").read_bytes())
+    assert len(logs) == len(betas)

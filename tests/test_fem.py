@@ -309,10 +309,10 @@ def test_gram_l2_is_mass(mesh500):
 
 
 def test_gram_constant_field(mesh500):
-    spec = InnerProductSpec.h2_beta(2.0, 1e-3, 1e-6)
-    g = gram_matrix(mesh500, spec)
+    # constants lie in the kernel of both derivative blocks
+    g = gram_matrix(mesh500, InnerProductSpec(2e-3, 3e-6))
     c = 0.7 * np.ones(mesh500.num_vertices)
-    assert abs(c @ (g @ c) -  2.0 * 0.49 * mesh500.triangle_areas.sum()) <= 1e-10
+    assert abs(c @ (g @ c) - 0.49 * mesh500.triangle_areas.sum()) <= 1e-10
 
 
 def test_gram_positive_definite_power_iteration(mesh500, rng):
@@ -329,10 +329,21 @@ def test_gram_positive_definite_power_iteration(mesh500, rng):
     assert 1.0 / lam > 0.0
 
 
-@pytest.mark.parametrize("bad", [("L1",), ("H2_beta", -1.0)])
+@pytest.mark.parametrize(
+    "bad", [(-1.0, 1e-6), (1e-3, -1e-6), (math.inf, 0.0), (0.0, math.nan)]
+)
 def test_inner_product_spec_validation(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="finite and >= 0"):
         InnerProductSpec(*bad)
+
+
+def test_inner_product_presets_are_weight_pairs(mesh500):
+    assert InnerProductSpec.l2() == InnerProductSpec(0.0, 0.0)
+    assert InnerProductSpec.h2() == InnerProductSpec(1.0, 1.0)
+    assert InnerProductSpec.h2_beta() == InnerProductSpec() == InnerProductSpec(1e-3, 1e-6)
+    # one derivative weight of zero still builds the full Gram
+    g = gram_matrix(mesh500, InnerProductSpec(1e-3, 0.0))
+    assert g is not mesh500.mass and (g - mesh500.mass).count_nonzero() > 0
 
 
 def test_embedding_adjoint_zero(mesh500):
@@ -342,7 +353,7 @@ def test_embedding_adjoint_zero(mesh500):
 
 
 def test_embedding_adjoint_constant(mesh500):
-    gram = GramSolver(mesh500, InnerProductSpec.h2_beta(1.0, 1e-3, 1e-6))
+    gram = GramSolver(mesh500, InnerProductSpec.h2_beta())
     out = gram.solve_dual(mesh500.mass @ np.full(mesh500.num_vertices, 0.9))
     assert np.max(np.abs(out - 0.9)) <= 1e-8
 

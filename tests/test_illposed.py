@@ -239,6 +239,23 @@ def test_truncate_reduces_condition(desk_transfer):
         svd_analyze(T, truncate=0)
 
 
+def test_truncate_is_checked_before_any_work(desk_transfer, monkeypatch):
+    T, truth, _ = desk_transfer
+
+    def heavy(*args, **kwargs):
+        raise AssertionError("heavy work ran before truncate was checked")
+
+    monkeypatch.setattr(np.linalg, "svd", heavy)
+    monkeypatch.setattr(illposed, "assemble_transfer_matrix", heavy)
+    for call in (
+        lambda: svd_analyze(T, truncate=0),
+        lambda: condition_table(truth, truncate=0),
+        lambda: condition_number(T.matrix, truncate=0),
+    ):
+        with pytest.raises(ValueError, match="truncate must keep at least one singular value"):
+            call()
+
+
 def test_condition_grid_orderings(mesh200):
     truth = phantom_field(default_phantom(), mesh200)
     angles = (2.0 * math.pi, math.pi)

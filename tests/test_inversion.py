@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from aet2d import inversion
+from aet2d import fem, inversion
 from aet2d.fem import GramSolver, InnerProductSpec, NodalField, norm_sq
 from aet2d.forward import MeasurementSet, simulate_data, solve_measurement_set
 from aet2d.inversion import (
@@ -194,6 +194,23 @@ def test_landweber_deterministic(mesh500, desk_problem):
     assert np.array_equal(log1.omegas, log2.omegas, equal_nan=True)
     assert np.array_equal(log1.rel_errors, log2.rel_errors)
     assert log1.stop_reason == log2.stop_reason
+
+
+@pytest.mark.parametrize("spec", [InnerProductSpec.l2(), InnerProductSpec.h2_beta()])
+def test_scaling_the_gram_moves_no_iterate(desk_problem, monkeypatch, spec):
+    # why the zeroth-order weight is fixed at 1: the Gram c*G gives the
+    # direction s/c and the stepsize c*omega, so the same update omega*s
+    ms, data, truth = desk_problem
+    noisy, delta = add_noise(data, 0.05, seed=5)
+    config = ReconstructionConfig(tau=1.0, max_iter=30, spec=spec)
+    sigma, log = run_landweber(config, noisy, delta, ms, truth)
+    gram_matrix = fem.gram_matrix
+    monkeypatch.setattr(fem, "gram_matrix", lambda mesh, spec: 2.0 * gram_matrix(mesh, spec))
+    scaled_sigma, scaled = run_landweber(config, noisy, delta, ms, truth)
+    assert np.array_equal(scaled_sigma.values, sigma.values)
+    assert np.array_equal(scaled.residuals, log.residuals)
+    assert np.array_equal(scaled.omegas, 2.0 * log.omegas, equal_nan=True)
+    assert scaled.stop_reason == log.stop_reason and log.num_iterations > 1
 
 
 def test_landweber_l2_stops_before_h2(mesh500, desk_problem):
