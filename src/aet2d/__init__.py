@@ -14,10 +14,8 @@ from .fem import (
     norm_sq,
 )
 from .forward import (
-    BoundaryCurrent,
     ForwardState,
     MeasurementSet,
-    boundary_current_eval,
     determinant_diagnostic,
     simulate_data,
     solve_measurement_set,
@@ -32,7 +30,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundaryArc",
-    "BoundaryCurrent",
     "ForwardState",
     "InnerProductSpec",
     "IterationLog",
@@ -49,7 +46,6 @@ __all__ = [
     "assemble_boundary_load",
     "assemble_stiffness",
     "assemble_transfer_matrix",
-    "boundary_current_eval",
     "c2_ramp",
     "condition_table",
     "default_phantom",

@@ -13,9 +13,11 @@ from __future__ import annotations
 import argparse
 import configparser
 import math
+import operator
 import os
 import re
 import sys
+from itertools import zip_longest
 from typing import Callable, NamedTuple
 
 from . import fileio
@@ -28,7 +30,7 @@ from .illposed import (
     svd_analyze,
 )
 from .inversion import ReconstructionConfig, add_noise, run_landweber
-from .mesh import Mesh, generate_disk_mesh
+from .mesh import BoundaryArc, generate_disk_mesh
 from .phantom import Crescent, Disc, Inclusion, PhantomSpec, default_phantom, phantom_field
 
 
@@ -66,9 +68,21 @@ def _typed(convert: Callable[[str], object], noun: str) -> Callable[[str], objec
     return parse
 
 
+def _finite(parse: Callable[[str], float]) -> Callable[[str], float]:
+    """``parse``, then reject ``nan`` and ``inf``."""
+
+    def parse_finite(text):
+        value = parse(text)
+        if not math.isfinite(value):
+            raise ValueError("is not a finite number")
+        return value
+
+    return parse_finite
+
+
 _int = _typed(int, "an integer")
-_float = _typed(float, "a number")
-_angle = _typed(parse_angle, "an angle")
+_float = _finite(_typed(float, "a number"))
+_angle = _finite(_typed(parse_angle, "an angle"))
 
 
 def _choice(noun: str, words: dict) -> Callable[[str], object]:
@@ -94,20 +108,21 @@ def _entry(parse: Callable[[str], object], text: str):
         raise ValueError(f"({text!r}) {exc}") from None
 
 
-def _at_least(low: int, parse: Callable[[str], object]) -> Callable[[str], object]:
-    """``parse``, then require a value >= ``low``."""
+def _bounded(relation: str, low: int, parse: Callable[[str], object]) -> Callable[[str], object]:
+    """``parse``, then require ``value <relation> low``, ``relation`` being ">=" or ">"."""
+    holds = {">=": operator.ge, ">": operator.gt}[relation]
 
     def parse_bounded(text):
         value = parse(text)
-        if not value >= low:
-            raise ValueError(f"must be >= {low}")
+        if not holds(value, low):
+            raise ValueError(f"must be {relation} {low}")
         return value
 
     return parse_bounded
 
 
 def _optional_count(text: str) -> int | None:
-    return _at_least(1, _int)(text) if text.strip() else None
+    return _bounded(">=", 1, _int)(text) if text.strip() else None
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -154,21 +169,23 @@ _FAMILIES = dict(trig="trig", trig_limited="trig", special="special", special_fu
 # Every parameter. A config section or a subcommand accepts a key only
 # if its command reads it; [common] accepts every key.
 _SETTINGS = {
-    "mesh_vertices": _Setting(_int, "2000", _PHANTOM, "vertices of the mesh"),
-    "fine_vertices": _Setting(_int, "40000", ("simulate",)),
+    "mesh_vertices": _Setting(_bounded(">=", 4, _int), "2000", _PHANTOM, "vertices of the mesh"),
+    "fine_vertices": _Setting(_bounded(">=", 4, _int), "40000", ("simulate",)),
     "alpha": _Setting(_angle, "2pi", _MEASURE, "accessible arc angle, e.g. 3pi/2"),
-    "measurements": _Setting(_int, "3", _MEASURE, "number of boundary currents"),
+    "measurements": _Setting(_bounded(">=", 1, _int), "3", _MEASURE, "number of boundary currents"),
     "family": _Setting(_choice("a family", _FAMILIES), "trig", _MEASURE, "trig or special"),
-    "beta1": _Setting(_at_least(0, _float), "1e-3", _RECON),
-    "beta2": _Setting(_at_least(0, _float), "1e-6", _RECON),
-    "tau": _Setting(_float, "1.0", _RECON, "discrepancy multiplier"),
-    "noise": _Setting(_at_least(0, _float), "0.0", ("simulate",), "relative noise level"),
-    "seed": _Setting(_at_least(0, _int), "0", ("simulate",), "noise RNG seed"),
-    "max_iter": _Setting(_int, "1000", _RECON, "Landweber iteration limit"),
+    "beta1": _Setting(_bounded(">=", 0, _float), "1e-3", _RECON),
+    "beta2": _Setting(_bounded(">=", 0, _float), "1e-6", _RECON),
+    "tau": _Setting(_bounded(">=", 1, _float), "1.0", _RECON, "discrepancy multiplier"),
+    "noise": _Setting(_bounded(">=", 0, _float), "0.0", ("simulate",), "relative noise level"),
+    "seed": _Setting(_bounded(">=", 0, _int), "0", ("simulate",), "noise RNG seed"),
+    "max_iter": _Setting(_bounded(">=", 1, _int), "1000", _RECON, "Landweber iteration limit"),
     "sigma0": _Setting(_float, "1.5", _RECON),
-    "sigma_floor": _Setting(_float, "0.1", ("phantom", "simulate", "reconstruct")),
+    "sigma_floor": _Setting(
+        _bounded(">", 0, _float), "0.1", ("phantom", "simulate", "reconstruct")
+    ),
     "safeguard": _Setting(_bool, "true", _RECON),
-    "background": _Setting(_float, "1.0", _PHANTOM),
+    "background": _Setting(_bounded(">", 0, _float), "1.0", _PHANTOM),
     "inclusions": _Setting(_inclusions, "default", _PHANTOM),
     "out": _Setting(str, "out", _ALL, "output directory"),
     "data": _Setting(str, "", _RECON, "directory with simulated data (default: --out)"),
@@ -236,15 +253,8 @@ def load_settings(command: str, args: argparse.Namespace) -> dict:
 
 
 def make_measurement_set(settings: dict) -> MeasurementSet:
-    indices = tuple(range(1, settings["measurements"] + 1))
-    if settings["family"] == "trig":
-        return MeasurementSet.trig(settings["alpha"], indices)
-    if settings["alpha"] != 2.0 * math.pi:
-        raise CliError(
-            f"family = special drives the whole boundary, so alpha = {settings['alpha']!r} "
-            "would be ignored; leave alpha at 2pi"
-        )
-    return MeasurementSet.special(indices)
+    indices = range(1, settings["measurements"] + 1)
+    return MeasurementSet(settings["family"], indices, BoundaryArc(settings["alpha"]))
 
 
 def cmd_phantom(settings: dict) -> int:
@@ -270,12 +280,11 @@ def cmd_phantom(settings: dict) -> int:
 
 
 def cmd_simulate(settings: dict) -> int:
-    mesh = generate_disk_mesh(settings["mesh_vertices"])
     ms = make_measurement_set(settings)
+    mesh = generate_disk_mesh(settings["mesh_vertices"])
+    fine_mesh = generate_disk_mesh(settings["fine_vertices"])
     spec = PhantomSpec(settings["background"], settings["inclusions"])
-    data, fine_state = simulate_data(
-        spec, ms, mesh, settings["fine_vertices"], sigma_floor=settings["sigma_floor"]
-    )
+    data, fine_state = simulate_data(spec, ms, mesh, fine_mesh, settings["sigma_floor"])
     noisy, delta_abs = add_noise(data, settings["noise"], settings["seed"])
 
     det_min = float("nan")
@@ -317,14 +326,17 @@ def cmd_reconstruct(settings: dict) -> int:
             raise CliError(f"{info_path} lacks the key {key!r}; run simulate again")
     info = {key: _parse(parse, key, text[key], info_path) for key, parse in _DATA_INFO.items()}
 
+    ms = make_measurement_set(info)
     mesh = generate_disk_mesh(info["mesh_vertices"])
     mesh_path = os.path.join(data_dir, "mesh.txt")
-    if _mesh_bytes(fileio.read_mesh(mesh_path)) != _mesh_bytes(mesh):
+    with open(mesh_path) as fp:
+        pairs = zip_longest(fp, fileio.mesh_text(mesh).splitlines(keepends=True))
+        lineno = next((n for n, (got, want) in enumerate(pairs, start=1) if got != want), 0)
+    if lineno:
         raise CliError(
-            f"{mesh_path} differs from the mesh that mesh_vertices = "
+            f"{mesh_path}, line {lineno}: differs from the mesh that mesh_vertices = "
             f"{info['mesh_vertices']} generates"
         )
-    ms = make_measurement_set(info)
     noisy = NodalField(
         mesh,
         [
@@ -380,14 +392,9 @@ def cmd_reconstruct(settings: dict) -> int:
     return 0
 
 
-def _mesh_bytes(mesh: Mesh) -> tuple[bytes, ...]:
-    arrays = (mesh.vertices, mesh.triangles, mesh.boundary_edges, mesh.boundary_edge_angles)
-    return tuple(a.tobytes() for a in arrays)
-
-
 def cmd_svd(settings: dict) -> int:
-    mesh = generate_disk_mesh(settings["mesh_vertices"])
     ms = make_measurement_set(settings)
+    mesh = generate_disk_mesh(settings["mesh_vertices"])
     truth = phantom_field(PhantomSpec(settings["background"], settings["inclusions"]), mesh)
     T = assemble_transfer_matrix(truth, ms)
     report = svd_analyze(T, settings["svd_vectors"], truncate=settings["truncate"])

@@ -75,67 +75,28 @@ def read_field_csv(path, mesh: Mesh) -> NodalField:
     return NodalField(mesh, values)
 
 
-def write_mesh(path, mesh: Mesh) -> None:
+def mesh_text(mesh: Mesh) -> str:
     """Plain-text mesh format.
 
     Header ``vertices N triangles T boundary_edges B`` followed by N
     ``x y`` lines, T ``i j k`` lines, and B ``i j theta_mid`` lines.
     """
     boundary = zip(mesh.boundary_edges.tolist(), mesh.boundary_edge_angles.tolist())
-    with open(path, "w") as fp:
-        fp.write(
+    return "".join(
+        [
             f"vertices {mesh.num_vertices} triangles {mesh.num_triangles} "
-            f"boundary_edges {mesh.boundary_edges.shape[0]}\n"
-        )
-        fp.write("".join(f"{x!r} {y!r}\n" for x, y in mesh.vertices.tolist()))
-        fp.write("".join(f"{i} {j} {k}\n" for i, j, k in mesh.triangles.tolist()))
-        fp.write("".join(f"{i} {j} {theta!r}\n" for (i, j), theta in boundary))
-
-
-def read_mesh(path) -> Mesh:
-    """Read a mesh written by ``write_mesh``.
-
-    A malformed header or row, or a line count other than the header
-    announces, raises ``ValueError`` naming the file and line.
-    """
-    with open(path) as fp:
-        lines = fp.read().splitlines()
-    head = lines[0].split() if lines else []
-    try:
-        if head[0::2] != ["vertices", "triangles", "boundary_edges"]:
-            raise ValueError
-        nv, nt, nb = (int(x) for x in head[1::2])
-        if min(nv, nt, nb) < 0:
-            raise ValueError
-    except ValueError:
-        raise ValueError(f"{path}, line 1: malformed mesh header {' '.join(head)!r}") from None
-    expected = 1 + nv + nt + nb
-    if len(lines) != expected:
-        raise ValueError(
-            f"{path}, line {min(len(lines), expected) + 1}: the file has {len(lines)} "
-            f"lines, its header announces {expected}"
-        )
-
-    def section(first: int, count: int, kinds) -> list:
-        rows = []
-        for index in range(first, first + count):
-            try:
-                rows.append([kind(c) for kind, c in zip(kinds, lines[index].split(), strict=True)])
-            except ValueError:
-                raise ValueError(
-                    f"{path}, line {index + 1}: malformed row {lines[index]!r}"
-                ) from None
-        return rows
-
-    vertices = section(1, nv, (float, float))
-    triangles = section(1 + nv, nt, (int, int, int))
-    boundary = section(1 + nv + nt, nb, (int, int, float))
-    return Mesh(
-        np.array(vertices, dtype=np.float64).reshape(nv, 2),
-        np.array(triangles, dtype=np.int64).reshape(nt, 3),
-        np.array([row[:2] for row in boundary], dtype=np.int64).reshape(nb, 2),
-        np.array([row[2] for row in boundary], dtype=np.float64),
+            f"boundary_edges {mesh.boundary_edges.shape[0]}\n",
+            *(f"{x!r} {y!r}\n" for x, y in mesh.vertices.tolist()),
+            *(f"{i} {j} {k}\n" for i, j, k in mesh.triangles.tolist()),
+            *(f"{i} {j} {theta!r}\n" for (i, j), theta in boundary),
+        ]
     )
+
+
+def write_mesh(path, mesh: Mesh) -> None:
+    """Write ``mesh_text(mesh)`` to ``path``."""
+    with open(path, "w") as fp:
+        fp.write(mesh_text(mesh))
 
 
 def write_field_vtk(path, field: NodalField, name: str = "value") -> None:

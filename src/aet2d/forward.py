@@ -25,85 +25,69 @@ from scipy import sparse
 
 from . import fem
 from .fem import NodalField, ZeroMeanSolver, assemble_boundary_load, assemble_stiffness
-from .mesh import FULL_CIRCLE, BoundaryArc, Mesh, generate_disk_mesh, interpolate, rowwise
+from .mesh import FULL_CIRCLE, BoundaryArc, Mesh, interpolate, rowwise
 from .phantom import PhantomSpec, phantom_field
 
-FAMILIES = ("trig_limited", "special_full")
-
-
-@dataclass(frozen=True)
-class BoundaryCurrent:
-    """One applied boundary current density.
-
-    ``trig_limited``: sin(2*j*pi*theta/alpha) supported on the arc
-    [0, alpha], zero elsewhere (j >= 1). ``special_full``: the three
-    full-circle currents sin(theta), cos(theta), (sin+cos)/sqrt(2)
-    (j in {1, 2, 3}); their unit-conductivity potentials are the linear
-    fields y, x, (x + y)/sqrt(2).
-    """
-
-    family: str
-    j: int
-    arc: BoundaryArc | None = None
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.family == "trig_limited":
-            if self.j < 1:
-                raise ValueError("trig_limited requires j >= 1")
-            if self.arc is None:
-                raise ValueError("trig_limited requires an arc")
-        else:
-            if self.j not in (1, 2, 3):
-                raise ValueError("special_full requires j in {1, 2, 3}")
-
-    @property
-    def effective_arc(self) -> BoundaryArc:
-        return self.arc if self.arc is not None else FULL_CIRCLE
-
-
-def boundary_current_eval(bc: BoundaryCurrent, theta) -> np.ndarray:
-    """Evaluate the current density at polar angle(s) theta."""
-    theta = np.asarray(theta, dtype=np.float64)
-    if bc.family == "trig_limited":
-        alpha = bc.arc.alpha
-        inside = theta <= alpha
-        return np.where(inside, np.sin(2.0 * bc.j * math.pi * theta / alpha), 0.0)
-    if bc.j == 1:
-        return np.sin(theta)
-    if bc.j == 2:
-        return np.cos(theta)
-    return (np.sin(theta) + np.cos(theta)) / math.sqrt(2.0)
+FAMILIES = ("trig", "special")
 
 
 @dataclass(frozen=True)
 class MeasurementSet:
-    """Ordered collection of boundary currents driving one experiment."""
+    """The boundary currents j in ``indices`` of one family, applied on one arc.
 
-    currents: tuple[BoundaryCurrent, ...]
+    ``trig``: sin(2*j*pi*theta/alpha) supported on the arc [0, alpha],
+    zero elsewhere (j >= 1). ``special``: the three full-circle currents
+    sin(theta), cos(theta), (sin+cos)/sqrt(2) (j in {1, 2, 3}, arc
+    ``FULL_CIRCLE``); their unit-conductivity potentials are the linear
+    fields y, x, (x + y)/sqrt(2).
+    """
+
+    family: str
+    indices: tuple[int, ...]
+    arc: BoundaryArc = FULL_CIRCLE
 
     def __post_init__(self):
-        if len(self.currents) < 1:
+        # a tuple, so the checked indices cannot change afterwards
+        object.__setattr__(self, "indices", tuple(self.indices))
+        if self.family not in FAMILIES:
+            raise ValueError(f"unknown family {self.family!r} (expected trig or special)")
+        if not self.indices:
             raise ValueError("a measurement set needs at least one boundary current")
-        arcs = {bc.arc.alpha for bc in self.currents if bc.family == "trig_limited"}
-        if len(arcs) > 1:
-            raise ValueError("all trig_limited currents must share the same arc")
+        if self.family == "trig":
+            if min(self.indices) < 1:
+                raise ValueError(f"family trig requires j >= 1, got {self.indices}")
+        else:
+            if not set(self.indices) <= {1, 2, 3}:
+                raise ValueError(f"family special requires j in {{1, 2, 3}}, got {self.indices}")
+            if self.arc != FULL_CIRCLE:
+                raise ValueError(
+                    f"family = special drives the whole boundary, so alpha = "
+                    f"{self.arc.alpha!r} would be ignored; leave alpha at 2pi"
+                )
 
     def __len__(self) -> int:
-        return len(self.currents)
+        return len(self.indices)
 
-    def __iter__(self):
-        return iter(self.currents)
+    def current(self, j: int, theta) -> np.ndarray:
+        """Current density j of this set at polar angle(s) theta."""
+        theta = np.asarray(theta, dtype=np.float64)
+        if self.family == "trig":
+            alpha = self.arc.alpha
+            inside = theta <= alpha
+            return np.where(inside, np.sin(2.0 * j * math.pi * theta / alpha), 0.0)
+        if j == 1:
+            return np.sin(theta)
+        if j == 2:
+            return np.cos(theta)
+        return (np.sin(theta) + np.cos(theta)) / math.sqrt(2.0)
 
     @classmethod
     def trig(cls, alpha: float, indices=(1, 2, 3)) -> "MeasurementSet":
-        arc = BoundaryArc(alpha)
-        return cls(tuple(BoundaryCurrent("trig_limited", j, arc) for j in indices))
+        return cls("trig", indices, BoundaryArc(alpha))
 
     @classmethod
     def special(cls, indices=(1, 2, 3)) -> "MeasurementSet":
-        return cls(tuple(BoundaryCurrent("special_full", j) for j in indices))
+        return cls("special", indices)
 
 
 @dataclass
@@ -170,10 +154,8 @@ def measurement_loads(mesh: Mesh, ms: MeasurementSet) -> np.ndarray:
     """(V, M) boundary load vectors, one column per boundary current."""
     return np.column_stack(
         [
-            assemble_boundary_load(
-                mesh, lambda th, bc=bc: boundary_current_eval(bc, th), bc.effective_arc
-            )
-            for bc in ms
+            assemble_boundary_load(mesh, lambda th, j=j: ms.current(j, th), ms.arc)
+            for j in ms.indices
         ]
     )
 
@@ -230,11 +212,10 @@ def simulate_data(
     spec: PhantomSpec,
     ms: MeasurementSet,
     recon_mesh: Mesh,
-    fine_vertex_count: int = 40000,
-    fine_mesh: Mesh | None = None,
+    fine_mesh: Mesh,
     sigma_floor: float = fem.DEFAULT_SIGMA_FLOOR,
 ):
-    """Synthesize power-density data on a finer mesh and transfer it.
+    """Synthesize power-density data on ``fine_mesh`` and transfer it to ``recon_mesh``.
 
     Generating the data on a mesh with many more vertices than the
     reconstruction mesh and interpolating back avoids the inverse crime
@@ -247,8 +228,6 @@ def simulate_data(
     fine_state : ForwardState
         The fine-mesh forward solution (reusable across arcs).
     """
-    if fine_mesh is None:
-        fine_mesh = generate_disk_mesh(fine_vertex_count)
     sigma_fine = phantom_field(spec, fine_mesh)
     state = solve_measurement_set(sigma_fine, ms, sigma_floor)
     values = interpolate(fine_mesh, state.power_densities.values.T, recon_mesh.vertices)

@@ -39,13 +39,13 @@ class ReconstructionConfig:
     safeguard: bool = True
 
     def __post_init__(self):
-        if self.tau < 1.0:
+        if not self.tau >= 1.0:
             raise ValueError("tau must be >= 1")
-        if self.delta_rel < 0.0:
+        if not self.delta_rel >= 0.0:
             raise ValueError("delta_rel must be >= 0")
-        if self.sigma_floor <= 0.0:
+        if not self.sigma_floor > 0.0:
             raise ValueError("sigma_floor must be positive")
-        if self.max_iter < 1:
+        if not self.max_iter >= 1:
             raise ValueError("max_iter must be >= 1")
 
 

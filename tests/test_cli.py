@@ -263,19 +263,25 @@ def _copy_data(sim_dir, dest):
 
 def test_reconstruct_rejects_a_mesh_that_differs(sim_dir, tmp_path, capsys):
     data = _copy_data(sim_dir, tmp_path / "data")
-    lines = (data / "mesh.txt").read_text().splitlines(keepends=True)
+    path = data / "mesh.txt"
+    lines = path.read_text().splitlines(keepends=True)
     x, y = lines[5].split()
-    lines[5] = f"{x} {float(y) + 1e-15!r}\n"
-    (data / "mesh.txt").write_text("".join(lines))
-    code = run_cli("reconstruct", "--data", data, "--out", tmp_path / "r", "--max-iter", 1)
-    assert code == 2
-    assert "mesh.txt differs from the mesh that mesh_vertices = 400 generates" in (
-        capsys.readouterr().err
+    moved = lines[:5] + [f"{x} {float(y) + 1e-15!r}\n"] + lines[6:]
+    cases = (
+        (moved, 6),  # a changed coordinate
+        (lines[:-1], len(lines)),  # a truncated file
+        (lines + ["0 1 0.5\n"], len(lines) + 1),  # an extra line
+        ([], 1),  # an empty file
     )
-    assert not (tmp_path / "r").exists()
-    (data / "mesh.txt").write_text("".join(lines[:-1]))
-    assert run_cli("reconstruct", "--data", data, "--out", tmp_path / "r") == 2
-    assert "mesh.txt, line" in capsys.readouterr().err
+    for text, lineno in cases:
+        path.write_text("".join(text))
+        code = run_cli("reconstruct", "--data", data, "--out", tmp_path / "r", "--max-iter", 1)
+        assert code == 2
+        assert (
+            f"error: {path}, line {lineno}: differs from the mesh that mesh_vertices = 400 "
+            "generates"
+        ) in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
 
 def test_reconstruct_requires_data(tmp_path, capsys):
@@ -448,6 +454,15 @@ def test_reconstruct_rejects_data_info_without_a_section_header(sim_dir, tmp_pat
         ("simulate", "inclusions", "disc 0 0 0.3 2 w", "('w') is not a number"),
         ("svd", "truncate", "0", "must be >= 1"),
         ("reconstruct", "beta2", "-1e-6", "must be >= 0"),
+        ("reconstruct", "tau", "nan", "is not a finite number"),
+        ("reconstruct", "tau", "0.5", "must be >= 1"),
+        ("reconstruct", "max_iter", "0", "must be >= 1"),
+        ("reconstruct", "sigma0", "inf", "is not a finite number"),
+        ("simulate", "alpha", "-inf", "is not a finite number"),
+        ("simulate", "fine_vertices", "3", "must be >= 4"),
+        ("svd", "measurements", "0", "must be >= 1"),
+        ("phantom", "background", "0", "must be > 0"),
+        ("common", "sigma_floor", "-0.1", "must be > 0"),
     ],
 )
 def test_every_config_section_is_parsed_when_it_loads(tmp_path, capsys, section, key, text, reason):
@@ -475,6 +490,13 @@ def test_every_config_section_is_parsed_when_it_loads(tmp_path, capsys, section,
         ("condition-table", "--truncate", "0", "must be >= 1"),
         ("simulate", "--noise", "-0.1", "must be >= 0"),
         ("simulate", "--seed", "-1", "must be >= 0"),
+        ("phantom", "--mesh-vertices", "0", "must be >= 4"),
+        ("svd", "--measurements", "0", "must be >= 1"),
+        ("reconstruct", "--tau", "nan", "is not a finite number"),
+        ("reconstruct", "--tau", "0.99", "must be >= 1"),
+        ("reconstruct", "--max-iter", "0", "must be >= 1"),
+        ("simulate", "--alpha", "inf", "is not a finite number"),
+        ("simulate", "--noise", "nan", "is not a finite number"),
     ],
 )
 def test_a_bad_flag_names_the_flag_key_and_value(

@@ -1,14 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from aet2d.fem import NodalField, assemble_boundary_load, norm_sq
+from aet2d.fem import CompatibilityWarning, NodalField, assemble_boundary_load, norm_sq
 from aet2d.forward import (
-    BoundaryCurrent,
     MeasurementSet,
-    boundary_current_eval,
     determinant_diagnostic,
+    measurement_loads,
     simulate_data,
     solve_measurement_set,
 )
@@ -18,41 +18,51 @@ from reference import power_density
 
 
 def test_trig_current_values():
-    bc = BoundaryCurrent("trig_limited", 1, BoundaryArc(2.0 * math.pi))
-    assert boundary_current_eval(bc, 0.0) == 0.0
-    assert boundary_current_eval(bc, math.pi / 2) == pytest.approx(1.0, abs=1e-15)
-    quarter = BoundaryCurrent("trig_limited", 2, BoundaryArc(math.pi / 2))
-    assert boundary_current_eval(quarter, 3.0) == 0.0  # outside the arc
+    full = MeasurementSet.trig(2.0 * math.pi)
+    assert full.current(1, 0.0) == 0.0
+    assert full.current(1, math.pi / 2) == pytest.approx(1.0, abs=1e-15)
+    quarter = MeasurementSet.trig(math.pi / 2, (2,))
+    assert quarter.current(2, 3.0) == 0.0  # outside the arc
 
 
 def test_special_current_values():
-    assert boundary_current_eval(BoundaryCurrent("special_full", 3), math.pi / 4) == (
-        pytest.approx(1.0, abs=1e-15)
-    )
-    assert boundary_current_eval(BoundaryCurrent("special_full", 2), 0.0) == 1.0
+    ms = MeasurementSet.special()
+    assert ms.arc == FULL_CIRCLE
+    assert ms.current(3, math.pi / 4) == pytest.approx(1.0, abs=1e-15)
+    assert ms.current(2, 0.0) == 1.0
 
 
 def test_boundary_current_validation():
-    with pytest.raises(ValueError):
-        BoundaryCurrent("fourier", 1)
-    with pytest.raises(ValueError):
-        BoundaryCurrent("trig_limited", 0, BoundaryArc(math.pi))
-    with pytest.raises(ValueError):
-        BoundaryCurrent("trig_limited", 1)  # missing arc
-    with pytest.raises(ValueError):
-        BoundaryCurrent("special_full", 4)
+    with pytest.raises(ValueError, match="unknown family 'fourier'"):
+        MeasurementSet("fourier", (1,))
+    with pytest.raises(ValueError, match="j >= 1"):
+        MeasurementSet.trig(math.pi, (1, 0))
+    with pytest.raises(ValueError, match=r"j in \{1, 2, 3\}"):
+        MeasurementSet.special((1, 4))
+    # the library names the families as the CLI does
+    with pytest.raises(ValueError, match="unknown family 'trig_limited'"):
+        MeasurementSet("trig_limited", (1,), BoundaryArc(math.pi))
 
 
 def test_measurement_set_validation():
-    with pytest.raises(ValueError):
-        MeasurementSet(())
-    with pytest.raises(ValueError):
-        MeasurementSet(
-            (
-                BoundaryCurrent("trig_limited", 1, BoundaryArc(math.pi)),
-                BoundaryCurrent("trig_limited", 2, BoundaryArc(math.pi / 2)),
-            )
-        )
+    with pytest.raises(ValueError, match="needs at least one boundary current"):
+        MeasurementSet("trig", (), BoundaryArc(math.pi))
+    ms = MeasurementSet("trig", [1, 2], BoundaryArc(math.pi))
+    assert ms == MeasurementSet.trig(math.pi, (1, 2))
+    assert ms.indices == (1, 2) and len(ms) == 2
+    assert MeasurementSet("trig", (1,)).arc == FULL_CIRCLE
+
+
+def test_special_set_rejects_an_arc_it_would_ignore():
+    with pytest.raises(ValueError, match=rf"alpha = {math.pi!r} would be ignored"):
+        MeasurementSet("special", (1,), BoundaryArc(math.pi))
+
+
+def test_special_loads_have_zero_total_flux(mesh500):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", CompatibilityWarning)
+        loads = measurement_loads(mesh500, MeasurementSet.special())
+    assert loads.shape == (mesh500.num_vertices, 3)
 
 
 def test_special_potentials_match_linear_solutions(mesh2000):

@@ -254,6 +254,10 @@ def test_config_validation():
         ReconstructionConfig(sigma_floor=0.0)
     with pytest.raises(ValueError):
         ReconstructionConfig(delta_rel=-0.1)
+    # NaN fails every range check
+    for key in ("tau", "delta_rel", "sigma_floor", "max_iter"):
+        with pytest.raises(ValueError):
+            ReconstructionConfig(**{key: float("nan")})
 
 
 def test_iteration_log_validation():
