@@ -241,14 +241,24 @@ def load_settings(command: str, args: argparse.Namespace) -> dict:
     """
     sections = _read_config(args.config) if args.config else {}
     settings = {key: s.parse(s.default) for key, s in _SETTINGS.items() if command in s.commands}
-    common = sections.get("common", {})
-    settings.update({key: common[key] for key in settings.keys() & common.keys()})
-    settings.update(sections.get(command, {}))
+    sources = dict.fromkeys(settings, "default")
+    for section in ("common", command):
+        values = sections.get(section, {})
+        for key in settings.keys() & values.keys():
+            settings[key] = values[key]
+            sources[key] = f"{args.config}, section [{section}]"
     for key in settings:
         text = getattr(args, key, None)
         if text is not None:
             flag = "--" + key.replace("_", "-")
             settings[key] = _parse(_SETTINGS[key].parse, key, text, f"flag {flag}")
+            sources[key] = f"flag {flag}"
+    # The one bound between two keys: the start must be admissible.
+    if "sigma0" in settings and settings["sigma0"] < settings["sigma_floor"]:
+        raise CliError(
+            f"{sources['sigma0']}: sigma0 = {settings['sigma0']!r} is below "
+            f"sigma_floor = {settings['sigma_floor']!r} ({sources['sigma_floor']})"
+        )
     return settings
 
 
@@ -284,12 +294,12 @@ def cmd_simulate(settings: dict) -> int:
     mesh = generate_disk_mesh(settings["mesh_vertices"])
     fine_mesh = generate_disk_mesh(settings["fine_vertices"])
     spec = PhantomSpec(settings["background"], settings["inclusions"])
-    data, fine_state = simulate_data(spec, ms, mesh, fine_mesh, settings["sigma_floor"])
+    data, fine_potentials = simulate_data(spec, ms, mesh, fine_mesh, settings["sigma_floor"])
     noisy, delta_abs = add_noise(data, settings["noise"], settings["seed"])
 
     det_min = float("nan")
     if len(ms) >= 2:
-        u1, u2 = (NodalField(fine_state.mesh, u) for u in fine_state.potentials.values[:2])
+        u1, u2 = (NodalField(fine_mesh, u) for u in fine_potentials.values[:2])
         _, det_min = determinant_diagnostic(u1, u2)
 
     out = fileio.ensure_dir(settings["out"])
@@ -309,7 +319,7 @@ def cmd_simulate(settings: dict) -> int:
     fileio.write_key_values(os.path.join(out, "data_info.txt"), "data", info)
     print(
         f"simulate: {len(ms)} power densities on {mesh.num_vertices} vertices "
-        f"(fine mesh {fine_state.mesh.num_vertices}), delta_abs {delta_abs:.6g}, "
+        f"(fine mesh {fine_mesh.num_vertices}), delta_abs {delta_abs:.6g}, "
         f"min |det| {det_min:.4g}"
     )
     return 0

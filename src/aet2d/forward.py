@@ -225,10 +225,13 @@ def simulate_data(
     -------
     data : NodalField
         (M, V) stack of power densities on the reconstruction mesh.
-    fine_state : ForwardState
-        The fine-mesh forward solution (reusable across arcs).
+    fine_potentials : NodalField
+        (M, V_fine) stack of the potentials on ``fine_mesh``. The rest of
+        the fine forward solution, its factorization included, is released
+        before this returns, so a caller that keeps the pair holds no
+        solver while the next arc builds its own.
     """
     sigma_fine = phantom_field(spec, fine_mesh)
     state = solve_measurement_set(sigma_fine, ms, sigma_floor)
     values = interpolate(fine_mesh, state.power_densities.values.T, recon_mesh.vertices)
-    return NodalField(recon_mesh, values.T), state
+    return NodalField(recon_mesh, values.T), state.potentials

@@ -140,9 +140,17 @@ def svd_analyze(
     (1 = largest singular value) for export as nodal fields. Indices past
     the spectrum are skipped with a warning. ``truncate`` drops trailing
     singular values before forming the condition number only.
+
+    With no ``vector_indices`` the spectrum comes from LAPACK's
+    values-only path, which forms neither U nor Vt: about half the time
+    and memory, with values that differ from the thin SVD's in the last
+    bits.
     """
     _check_truncate(truncate)
-    _, s, vt = np.linalg.svd(T.matrix, full_matrices=False)
+    if vector_indices:
+        _, s, vt = np.linalg.svd(T.matrix, full_matrices=False)
+    else:
+        s = singular_values(T.matrix)
     kept = s[:truncate]
     vectors = []
     indices = []

@@ -513,6 +513,32 @@ def test_a_bad_flag_names_the_flag_key_and_value(
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "text, sigma0, floor, floor_source",
+    [
+        ("[reconstruct]\nsigma0 = -5\n", -5.0, 0.1, "default"),
+        ("[common]\nsigma_floor = 2\n[reconstruct]\nsigma0 = 1.5\n", 1.5, 2.0, "section [common]"),
+        ("[common]\nsigma0 = 0.5\n[reconstruct]\nsigma_floor = 1\n", 0.5, 1.0, "section [reconstruct]"),
+    ],
+)
+def test_a_start_below_the_floor_fails_at_load(tmp_path, capsys, text, sigma0, floor, floor_source):
+    # the data directory is empty: an error naming the data would mean the
+    # check ran only after reading it
+    cfg = tmp_path / "start.ini"
+    cfg.write_text(text)
+    argv = ("reconstruct", "--config", cfg, "--data", tmp_path, "--out", tmp_path / "o")
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {cfg}, section [" in err
+    assert f"sigma0 = {sigma0!r} is below sigma_floor = {floor!r} (" in err
+    assert floor_source in err.split("sigma_floor =")[1]
+    assert not (tmp_path / "o").exists()
+    # a start at the floor is admissible and gets as far as the data
+    cfg.write_text("[reconstruct]\nsigma0 = 0.1\nsigma_floor = 0.1\n")
+    assert run_cli(*argv) == 2
+    assert "run simulate first" in capsys.readouterr().err
+
+
 def test_config_rejects_an_unknown_section(tmp_path, capsys):
     cfg = tmp_path / "typo.ini"
     cfg.write_text("[common]\nmesh_vertices = 200\n\n[reconstuct]\nmax_iter = 5\n")

@@ -1,9 +1,12 @@
+import gc
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
+from aet2d import forward
 from aet2d.fem import CompatibilityWarning, NodalField, assemble_boundary_load, norm_sq
 from aet2d.forward import (
     MeasurementSet,
@@ -165,14 +168,33 @@ def test_stack_roundtrip(mesh200, rng):
 def test_simulate_data_matches_direct_solve(mesh500, fine3000):
     spec = default_phantom()
     ms = MeasurementSet.special()
-    data, fine_state = simulate_data(spec, ms, mesh500, fine_mesh=fine3000)
-    assert fine_state.mesh is fine3000
+    data, fine_potentials = simulate_data(spec, ms, mesh500, fine_mesh=fine3000)
+    assert fine_potentials.mesh is fine3000
+    assert fine_potentials.values.shape == (3, fine3000.num_vertices)
     sigma = phantom_field(spec, mesh500)
     direct = solve_measurement_set(sigma, ms)
     assert data.values.shape == (3, mesh500.num_vertices)
     for interp, own in zip(data.values, direct.power_densities.values):
         rel = math.sqrt(norm_sq(mesh500, interp - own) / norm_sq(mesh500, own))
         assert rel <= 0.05  # different discretizations, same field
+
+
+def test_simulate_data_releases_the_fine_factorization(mesh200, fine3000, monkeypatch):
+    # A caller that keeps the returned pair must not keep the fine solver
+    # (and its sparse LU factor) alive.
+    solvers = []
+
+    class RecordedSolver(forward.ZeroMeanSolver):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            solvers.append(weakref.ref(self))
+
+    monkeypatch.setattr(forward, "ZeroMeanSolver", RecordedSolver)
+    kept = simulate_data(default_phantom(), MeasurementSet.trig(math.pi), mesh200, fine3000)
+    gc.collect()
+    assert len(solvers) == 1
+    assert all(ref() is None for ref in solvers)
+    assert kept[1].mesh is fine3000
 
 
 def test_simulate_data_deterministic(mesh200, fine3000):

@@ -229,6 +229,26 @@ def test_svd_vectors_and_rank_warning(desk_transfer):
     assert report.vectors[0].values.shape == (v,)
 
 
+def test_values_only_spectrum_matches_the_thin_svd(desk_transfer, monkeypatch):
+    T, _, _ = desk_transfer
+    with_vectors = svd_analyze(T, vector_indices=(1,))
+    svd = np.linalg.svd
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    values_only = svd_analyze(T)
+    assert calls == [False]  # neither U nor Vt is formed
+    assert values_only.vector_indices == () and values_only.vectors == ()
+    s, ref = values_only.singular_values, with_vectors.singular_values
+    assert s.shape == ref.shape
+    assert np.max(np.abs(s - ref) / ref) <= 1e-13
+    assert values_only.condition_number == pytest.approx(with_vectors.condition_number, rel=1e-13)
+
+
 def test_truncate_reduces_condition(desk_transfer):
     T, _, _ = desk_transfer
     full = svd_analyze(T).condition_number
