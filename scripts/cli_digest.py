@@ -13,7 +13,10 @@ it is written outside that directory, so it adds no line. Next it runs
 package's public API for three angles and the L2, H2 and H2_beta inner
 products, and prints one ``<sha256>  library/<run>/<array>`` line for
 the noisy data and noise level, the final iterate, each iteration-log
-array and the stop reason.
+array and the stop reason. One ``library/svd_pi`` line hashes the
+spectrum, the exported right singular vectors and the condition number
+of ``svd_analyze`` with vectors (1, 100) on the condition-grid bench's
+shape (three measurements, alpha = pi), at the library mesh size.
 Last come ``<sha256>  mesh/<n>/<array>`` lines for the four arrays of
 ``generate_disk_mesh(n)`` at the bench's mesh sizes, the 40000-vertex
 data mesh included, each hashed with its dtype and shape. Every input is
@@ -82,6 +85,7 @@ LIBRARY_SEED = 2024
 LIBRARY_MAX_ITER = 150
 LIBRARY_ANGLES = (("2pi", 2.0 * math.pi), ("pi", math.pi), ("pi_2", 0.5 * math.pi))
 LIBRARY_SPECS = ("l2", "h2", "h2_beta")
+LIBRARY_SVD_VECTORS = (1, 100)
 
 # Mesh sizes of the bench workloads: grid, reconstruction and data meshes.
 MESH_SIZES = (1000, 2000, 40000)
@@ -119,6 +123,11 @@ def library_digests():
             for field in ("residuals", "omegas", "rel_errors"):
                 out.append((f"{run}/{field}", _sha(getattr(log, field))))
             out.append((f"{run}/stop_reason", hashlib.sha256(log.stop_reason.encode()).hexdigest()))
+    T = aet2d.assemble_transfer_matrix(truth, aet2d.MeasurementSet.trig(math.pi))
+    report = aet2d.svd_analyze(T, vector_indices=LIBRARY_SVD_VECTORS)
+    vectors = [vec.values for vec in report.vectors]
+    spectrum = _sha(report.singular_values, *vectors, np.float64(report.condition_number))
+    out.append(("library/svd_pi", spectrum))
     return out
 
 

@@ -125,8 +125,10 @@ def _optional_count(text: str) -> int | None:
     return _bounded(">=", 1, _int)(text) if text.strip() else None
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(_entry(_int, item) for item in text.split(",") if item.strip())
+def _rank_list(text: str) -> tuple[int, ...]:
+    """Comma-separated 1-based ranks."""
+    rank = _bounded(">=", 1, _int)
+    return tuple(_entry(rank, item) for item in text.split(",") if item.strip())
 
 
 def _inclusions(text: str) -> tuple[Inclusion, ...]:
@@ -190,7 +192,7 @@ _SETTINGS = {
     "out": _Setting(str, "out", _ALL, "output directory"),
     "data": _Setting(str, "", _RECON, "directory with simulated data (default: --out)"),
     "truncate": _Setting(_optional_count, "", ("svd", "condition-table"), "singular values kept"),
-    "svd_vectors": _Setting(_int_list, "", ("svd",)),
+    "svd_vectors": _Setting(_rank_list, "", ("svd",)),
 }
 
 # The settings that simulate records in data_info.txt, and the keys of

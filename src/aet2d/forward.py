@@ -165,18 +165,21 @@ def solve_measurement_set(
     ms: MeasurementSet,
     sigma_floor: float = fem.DEFAULT_SIGMA_FLOOR,
     loads: np.ndarray | None = None,
+    solver: ZeroMeanSolver | None = None,
 ) -> ForwardState:
     """Solve all boundary-current potentials and their power densities.
 
     One factorization of K(sigma) is shared by every measurement; the
     loads are solved as a single multi-RHS back-substitution. Callers
-    looping over conductivities can precompute ``loads`` once. The power
-    density of measurement j is sigma |grad u_j|^2 per triangle,
-    projected to the vertices.
+    looping over conductivities can precompute ``loads`` once, and callers
+    solving several sets at one conductivity can pass its ``solver``
+    once built (``sigma_floor`` is then unused). The power density of
+    measurement j is sigma |grad u_j|^2 per triangle, projected to the
+    vertices.
     """
     mesh = sigma.mesh
-    K = assemble_stiffness(mesh, sigma, sigma_floor)
-    solver = ZeroMeanSolver(K, mesh)
+    if solver is None:
+        solver = ZeroMeanSolver(assemble_stiffness(mesh, sigma, sigma_floor), mesh)
     if loads is None:
         loads = measurement_loads(mesh, ms)
     potentials = solver.solve(loads).T

@@ -453,6 +453,7 @@ def test_reconstruct_rejects_data_info_without_a_section_header(sim_dir, tmp_pat
         ("svd", "inclusions", "disc 0 0 0.3 2", "has a bad inclusion spec 'disc 0 0 0.3 2'"),
         ("simulate", "inclusions", "disc 0 0 0.3 2 w", "('w') is not a number"),
         ("svd", "truncate", "0", "must be >= 1"),
+        ("svd", "svd_vectors", "0,-1,2", "('0') must be >= 1"),
         ("reconstruct", "beta2", "-1e-6", "must be >= 0"),
         ("reconstruct", "tau", "nan", "is not a finite number"),
         ("reconstruct", "tau", "0.5", "must be >= 1"),

@@ -165,6 +165,22 @@ def test_stack_roundtrip(mesh200, rng):
         NodalField(mesh200, np.where(np.arange(3 * v).reshape(3, v) == 2 * v, np.nan, 0.0))
 
 
+def test_a_prebuilt_solver_gives_the_same_state_bitwise(mesh200, monkeypatch):
+    # one factorization serves sets on several arcs at one conductivity
+    sigma = phantom_field(default_phantom(), mesh200)
+    solver = solve_measurement_set(sigma, MeasurementSet.trig(2.0 * math.pi)).solver
+    expected = solve_measurement_set(sigma, MeasurementSet.trig(0.5 * math.pi))
+
+    def no_factorization(*args):
+        raise AssertionError("K(sigma) was factorized again")
+
+    monkeypatch.setattr(forward, "ZeroMeanSolver", no_factorization)
+    state = solve_measurement_set(sigma, MeasurementSet.trig(0.5 * math.pi), solver=solver)
+    assert state.solver is solver
+    assert np.array_equal(state.potentials.values, expected.potentials.values)
+    assert np.array_equal(state.power_densities.values, expected.power_densities.values)
+
+
 def test_simulate_data_matches_direct_solve(mesh500, fine3000):
     spec = default_phantom()
     ms = MeasurementSet.special()

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy import sparse
+from scipy import linalg, sparse
 
 from aet2d import illposed
-from aet2d.fem import NodalField, assemble_weighted_mass
+from aet2d.fem import NodalField, ZeroMeanSolver, assemble_weighted_mass
 from aet2d.forward import MeasurementSet, solve_measurement_set
 from aet2d.mesh import MASS_BASE
 from aet2d.illposed import (
@@ -219,7 +219,7 @@ def test_operator_norm_power_iteration(desk_transfer, rng):
     assert math.sqrt(est) == pytest.approx(s_max, rel=1e-6)
 
 
-def test_svd_vectors_and_rank_warning(desk_transfer):
+def test_svd_vectors_and_rank_warning(desk_transfer, monkeypatch):
     T, _, _ = desk_transfer
     v = T.mesh.num_vertices
     with pytest.warns(UserWarning, match="exceeds rank"):
@@ -227,6 +227,47 @@ def test_svd_vectors_and_rank_warning(desk_transfer):
     assert report.vector_indices == (1,)
     assert len(report.vectors) == 1
     assert report.vectors[0].values.shape == (v,)
+
+    # an index below 1 is no rank: it fails before any SVD
+    def no_svd(*args, **kwargs):
+        raise AssertionError("an SVD ran before the vector indices were checked")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    for indices in ((0,), (1, -1)):
+        with pytest.raises(ValueError, match="singular-vector indices are 1-based ranks"):
+            svd_analyze(T, vector_indices=indices)
+
+
+def _recorded_svd_shapes(monkeypatch):
+    """Record the shape of every matrix that ``np.linalg.svd`` receives."""
+    svd = np.linalg.svd
+    shapes = []
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    return shapes
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_svd_of_a_tall_matrix_goes_through_its_triangle_bitwise(mesh200, monkeypatch, count):
+    # Chan's R-SVD: a tall T reaches the SVD as its (V, V) QR triangle, a
+    # square T as itself, and both give the thin SVD's values and right
+    # vectors bit for bit
+    truth = phantom_field(default_phantom(), mesh200)
+    T = assemble_transfer_matrix(truth, MeasurementSet.trig(math.pi, tuple(range(1, count + 1))))
+    _, s, vt = np.linalg.svd(T.matrix, full_matrices=False)
+    shapes = _recorded_svd_shapes(monkeypatch)
+    report = svd_analyze(T, vector_indices=(1, 5, 100))
+    v = mesh200.num_vertices
+    assert shapes == [(v, v)]
+    assert np.array_equal(report.singular_values, s)
+    assert report.vector_indices == (1, 5, 100)
+    for k, vec in zip(report.vector_indices, report.vectors, strict=True):
+        assert np.array_equal(vec.values, vt[k - 1])
+    assert np.array_equal(report.condition_number, s[0] / s[-1])
 
 
 def test_values_only_spectrum_matches_the_thin_svd(desk_transfer, monkeypatch):
@@ -266,7 +307,8 @@ def test_truncate_is_checked_before_any_work(desk_transfer, monkeypatch):
         raise AssertionError("heavy work ran before truncate was checked")
 
     monkeypatch.setattr(np.linalg, "svd", heavy)
-    monkeypatch.setattr(illposed, "assemble_transfer_matrix", heavy)
+    monkeypatch.setattr(illposed, "ZeroMeanSolver", heavy)
+    monkeypatch.setattr(illposed, "_transfer_blocks", heavy)
     for call in (
         lambda: svd_analyze(T, truncate=0),
         lambda: condition_table(truth, truncate=0),
@@ -417,24 +459,54 @@ def test_condition_table_combination_order_is_bitwise_irrelevant(mesh200):
 def test_condition_table_rank_deficient_block_falls_back(mesh200, monkeypatch):
     # A zero column gives every triangle an exactly zero pivot: the grid
     # must hand it to the SVD of the triangle without dividing by it.
-    assemble = illposed.assemble_transfer_matrix
+    transfer_blocks = illposed._transfer_blocks
 
-    def zero_first_column(sigma, ms):
-        T = assemble(sigma, ms)
-        for blk in T.blocks:
+    def zero_first_column(*args):
+        for blk in transfer_blocks(*args):
             blk[:, 0] = 0.0
-        return T
+            yield blk
 
-    monkeypatch.setattr(illposed, "assemble_transfer_matrix", zero_first_column)
+    # condition_table and assemble_transfer_matrix both form their blocks here
+    monkeypatch.setattr(illposed, "_transfer_blocks", zero_first_column)
     fallbacks = _spy_condition_number(monkeypatch)
     truth = phantom_field(default_phantom(), mesh200)
     alpha = 2.0 * math.pi
     rows = condition_table(truth, angles=(alpha,))
     assert len(fallbacks) == len(TABLE_COMBOS)
     v = mesh200.num_vertices
-    T = zero_first_column(truth, MeasurementSet.trig(alpha))
+    T = assemble_transfer_matrix(truth, MeasurementSet.trig(alpha))
     for row, (shape, upper, value) in zip(rows, fallbacks, strict=True):
         assert shape == (v, v) and upper
         stacked = np.vstack([T.blocks[j - 1] for j in row["indices"]])
         with np.errstate(divide="ignore"):
             assert row[alpha] == value == condition_number(stacked) == math.inf
+
+
+def test_condition_table_factorizes_once_per_grid(mesh200, monkeypatch):
+    # one factorization of K(sigma) and one K+ serve every angle, and the
+    # grid equals, bit for bit, a per-angle assembly of the transfer matrix
+    truth = phantom_field(default_phantom(), mesh200)
+    angles = (2.0 * math.pi, math.pi, 0.5 * math.pi)
+    reference = {}
+    for alpha in angles:
+        T = assemble_transfer_matrix(truth, MeasurementSet.trig(alpha))
+        factors = {
+            j: linalg.qr(blk, mode="r", check_finite=False)[0]
+            for j, blk in zip((1, 2, 3), T.blocks, strict=True)
+        }
+        for combo, r in zip(TABLE_COMBOS, illposed._combination_factors(TABLE_COMBOS, factors)):
+            reference[combo, alpha] = illposed._factor_condition(r, None)
+    init = ZeroMeanSolver.__init__
+    builds = []
+
+    def counted(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ZeroMeanSolver, "__init__", counted)
+    rows = condition_table(truth, angles=angles)
+    assert len(builds) == 1
+    assert [row["indices"] for row in rows] == list(TABLE_COMBOS)
+    for row in rows:
+        for alpha in angles:
+            assert row[alpha] == reference[row["indices"], alpha]
