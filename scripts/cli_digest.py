@@ -13,7 +13,11 @@ it is written outside that directory, so it adds no line. Next it runs
 package's public API for three angles and the L2, H2 and H2_beta inner
 products, and prints one ``<sha256>  library/<run>/<array>`` line for
 the noisy data and noise level, the final iterate, each iteration-log
-array and the stop reason. One ``library/svd_pi`` line hashes the
+array and the stop reason. One ``library/data_second_phantom`` line
+hashes the data that ``simulate_data`` then makes on the same data mesh
+for a second phantom (background 1.2, the default phantom's first two
+inclusions) at alpha = pi: data served by a factorization of the first
+phantom would change it. One ``library/svd_pi`` line hashes the
 spectrum, the exported right singular vectors and the condition number
 of ``svd_analyze`` with vectors (1, 100) on the condition-grid bench's
 shape (three measurements, alpha = pi), at the library mesh size.
@@ -123,6 +127,9 @@ def library_digests():
             for field in ("residuals", "omegas", "rel_errors"):
                 out.append((f"{run}/{field}", _sha(getattr(log, field))))
             out.append((f"{run}/stop_reason", hashlib.sha256(log.stop_reason.encode()).hexdigest()))
+    second = aet2d.PhantomSpec(1.2, phantom.inclusions[:2])
+    data, _ = aet2d.simulate_data(second, aet2d.MeasurementSet.trig(math.pi), mesh, fine_mesh=fine)
+    out.append(("library/data_second_phantom", _sha(data.values)))
     T = aet2d.assemble_transfer_matrix(truth, aet2d.MeasurementSet.trig(math.pi))
     report = aet2d.svd_analyze(T, vector_indices=LIBRARY_SVD_VECTORS)
     vectors = [vec.values for vec in report.vectors]

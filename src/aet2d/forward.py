@@ -12,11 +12,17 @@ sparse operators. Their entries are stored in local (triangle, corner)
 order, so each sum runs in the same order as the gather/scatter it
 stands for. A ``ForwardState`` holds each measurement's pairing
 coefficients as such an operator, formed once per state on first use.
+
+``simulate_data`` keeps, for each live data mesh, the factorized
+solver of the last fine conductivity it synthesized data for, weakly
+keyed by the mesh, so data for several arcs of one phantom share one
+factorization of K(sigma).
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -29,6 +35,10 @@ from .mesh import FULL_CIRCLE, BoundaryArc, Mesh, interpolate, rowwise
 from .phantom import PhantomSpec, phantom_field
 
 FAMILIES = ("trig", "special")
+
+# Per data mesh: (fine conductivity values, sigma_floor, solver) of the last
+# ``simulate_data`` call on it. The solver holds no reference to the mesh.
+_FINE_SOLVERS = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -211,6 +221,23 @@ def determinant_diagnostic(u1: NodalField, u2: NodalField):
     return det, float(np.min(np.abs(det)))
 
 
+def _kept_fine_solver(
+    fine_mesh: Mesh, sigma_values: np.ndarray, sigma_floor: float
+) -> ZeroMeanSolver | None:
+    """Take the kept solver of ``fine_mesh`` if it factorized this conductivity.
+
+    The record is removed either way, so a solver that does not match is
+    released before the caller factorizes the new conductivity.
+    """
+    kept = _FINE_SOLVERS.pop(fine_mesh, None)
+    if kept is None:
+        return None
+    values, floor, solver = kept
+    if floor == sigma_floor and np.array_equal(values, sigma_values):
+        return solver
+    return None
+
+
 def simulate_data(
     spec: PhantomSpec,
     ms: MeasurementSet,
@@ -224,17 +251,27 @@ def simulate_data(
     reconstruction mesh and interpolating back avoids the inverse crime
     of inverting the same discretization that produced the data.
 
+    The factorized solver of K(sigma) on ``fine_mesh`` is kept for as
+    long as that mesh lives. A later call on the same mesh whose fine
+    conductivity is equal, value for value, with an equal
+    ``sigma_floor`` reuses it, so data for several arcs of one phantom
+    cost one factorization and are bit-identical to data made on a
+    fresh mesh. Any other call releases the kept solver before it
+    factorizes, so a data mesh holds at most one factorization.
+
     Returns
     -------
     data : NodalField
         (M, V) stack of power densities on the reconstruction mesh.
     fine_potentials : NodalField
         (M, V_fine) stack of the potentials on ``fine_mesh``. The rest of
-        the fine forward solution, its factorization included, is released
-        before this returns, so a caller that keeps the pair holds no
-        solver while the next arc builds its own.
+        the fine forward solution is released before this returns. The
+        stack refers to ``fine_mesh``, so the mesh's kept solver lives
+        while a caller keeps it.
     """
     sigma_fine = phantom_field(spec, fine_mesh)
-    state = solve_measurement_set(sigma_fine, ms, sigma_floor)
+    solver = _kept_fine_solver(fine_mesh, sigma_fine.values, sigma_floor)
+    state = solve_measurement_set(sigma_fine, ms, sigma_floor, solver=solver)
+    _FINE_SOLVERS[fine_mesh] = (sigma_fine.values, sigma_floor, state.solver)
     values = interpolate(fine_mesh, state.power_densities.values.T, recon_mesh.vertices)
     return NodalField(recon_mesh, values.T), state.potentials

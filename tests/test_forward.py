@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from aet2d import forward
-from aet2d.fem import CompatibilityWarning, NodalField, assemble_boundary_load, norm_sq
+from aet2d.fem import (
+    DEFAULT_SIGMA_FLOOR,
+    CompatibilityWarning,
+    NodalField,
+    assemble_boundary_load,
+    norm_sq,
+)
 from aet2d.forward import (
     MeasurementSet,
     determinant_diagnostic,
@@ -15,8 +21,8 @@ from aet2d.forward import (
     simulate_data,
     solve_measurement_set,
 )
-from aet2d.mesh import FULL_CIRCLE, BoundaryArc
-from aet2d.phantom import default_phantom, phantom_field
+from aet2d.mesh import FULL_CIRCLE, BoundaryArc, generate_disk_mesh
+from aet2d.phantom import PhantomSpec, default_phantom, phantom_field
 from reference import power_density
 
 
@@ -195,22 +201,111 @@ def test_simulate_data_matches_direct_solve(mesh500, fine3000):
         assert rel <= 0.05  # different discretizations, same field
 
 
-def test_simulate_data_releases_the_fine_factorization(mesh200, fine3000, monkeypatch):
-    # A caller that keeps the returned pair must not keep the fine solver
-    # (and its sparse LU factor) alive.
-    solvers = []
+def _recorded_solvers(monkeypatch):
+    """Replace ``forward.ZeroMeanSolver`` by a subclass that records its instances.
+
+    Returns the instances' weakrefs and, per instance, which earlier ones
+    were still alive when it began to factorize.
+    """
+    solvers, alive_at_init = [], []
 
     class RecordedSolver(forward.ZeroMeanSolver):
         def __init__(self, *args, **kwargs):
+            alive_at_init.append([ref() is not None for ref in solvers])
             super().__init__(*args, **kwargs)
             solvers.append(weakref.ref(self))
 
     monkeypatch.setattr(forward, "ZeroMeanSolver", RecordedSolver)
+    return solvers, alive_at_init
+
+
+def _fresh_mesh_data(spec, ms, recon, sigma_floor=DEFAULT_SIGMA_FLOOR):
+    """``simulate_data`` on a data mesh of its own, with no kept solver."""
+    return simulate_data(spec, ms, recon, generate_disk_mesh(3000), sigma_floor)
+
+
+def test_simulate_data_keeps_one_fine_solver_and_no_forward_state(
+    mesh200, fine3000, monkeypatch
+):
+    # While the data mesh lives it keeps at most one fine solver (and its
+    # sparse LU factor); the returned pair keeps neither the solver nor the
+    # rest of the fine forward solution alive.
+    solvers, _ = _recorded_solvers(monkeypatch)
+    states = []
+
+    class RecordedState(forward.ForwardState):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            states.append(weakref.ref(self))
+
+    monkeypatch.setattr(forward, "_FINE_SOLVERS", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(forward, "ForwardState", RecordedState)
     kept = simulate_data(default_phantom(), MeasurementSet.trig(math.pi), mesh200, fine3000)
     gc.collect()
-    assert len(solvers) == 1
-    assert all(ref() is None for ref in solvers)
+    assert len(solvers) == 1 and len(states) == 1
+    assert states[0]() is None
+    assert solvers[0]() is forward._FINE_SOLVERS[fine3000][2]
+    forward._FINE_SOLVERS.clear()
+    gc.collect()
+    assert solvers[0]() is None
     assert kept[1].mesh is fine3000
+
+
+def test_simulate_data_factorizes_a_data_mesh_once_for_every_arc(mesh200, monkeypatch):
+    spec = default_phantom()
+    sets = [MeasurementSet.trig(a * math.pi) for a in (2.0, 1.5, 1.0, 0.5)]
+    expected = [_fresh_mesh_data(spec, ms, mesh200) for ms in sets]
+    solvers, _ = _recorded_solvers(monkeypatch)
+    fine = generate_disk_mesh(3000)
+    for ms, (data, potentials) in zip(sets, expected):
+        got_data, got_potentials = simulate_data(spec, ms, mesh200, fine)
+        assert np.array_equal(got_data.values, data.values)
+        assert np.array_equal(got_potentials.values, potentials.values)
+    assert len(solvers) == 1
+
+
+def test_simulate_data_refactorizes_for_another_conductivity_or_floor(mesh200, monkeypatch):
+    spec = default_phantom()
+    other = PhantomSpec(1.2, spec.inclusions[:1])
+    ms = MeasurementSet.trig(math.pi)
+    expected = [
+        _fresh_mesh_data(spec, ms, mesh200),
+        _fresh_mesh_data(other, ms, mesh200),
+        _fresh_mesh_data(other, ms, mesh200, sigma_floor=0.05),
+    ]
+    solvers, alive_at_init = _recorded_solvers(monkeypatch)
+    fine = generate_disk_mesh(3000)
+    runs = [(spec, DEFAULT_SIGMA_FLOOR), (other, DEFAULT_SIGMA_FLOOR), (other, 0.05)]
+    for (phantom, floor), (data, potentials) in zip(runs, expected):
+        got_data, got_potentials = simulate_data(phantom, ms, mesh200, fine, floor)
+        assert np.array_equal(got_data.values, data.values)
+        assert np.array_equal(got_potentials.values, potentials.values)
+    # each solver was released before the next one factorized
+    assert alive_at_init == [[], [False], [False, False]]
+    second = simulate_data(other, ms, mesh200, fine, 0.05)[0]
+    assert len(solvers) == 3
+    assert np.array_equal(second.values, expected[2][0].values)
+
+
+def test_simulate_data_releases_the_kept_solver_with_its_mesh(mesh200, monkeypatch):
+    solvers, _ = _recorded_solvers(monkeypatch)
+    fine = generate_disk_mesh(3000)
+    kept = simulate_data(default_phantom(), MeasurementSet.trig(math.pi), mesh200, fine)
+    gc.collect()
+    assert solvers[0]() is not None
+    del fine, kept
+    gc.collect()
+    assert solvers[0]() is None
+
+
+def test_simulate_data_checks_the_floor_after_a_reusable_call(mesh200):
+    spec = default_phantom()
+    ms = MeasurementSet.trig(math.pi)
+    fine = generate_disk_mesh(3000)
+    simulate_data(spec, ms, mesh200, fine)
+    simulate_data(spec, MeasurementSet.trig(0.5 * math.pi), mesh200, fine)
+    with pytest.raises(ValueError, match="admissibility floor"):
+        simulate_data(spec, ms, mesh200, fine, sigma_floor=1.5)
 
 
 def test_simulate_data_deterministic(mesh200, fine3000):
