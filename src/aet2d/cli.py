@@ -291,18 +291,28 @@ def cmd_phantom(settings: dict) -> int:
     return 0
 
 
-def cmd_simulate(settings: dict) -> int:
-    ms = make_measurement_set(settings)
-    mesh = generate_disk_mesh(settings["mesh_vertices"])
-    fine_mesh = generate_disk_mesh(settings["fine_vertices"])
-    spec = PhantomSpec(settings["background"], settings["inclusions"])
-    data, fine_potentials = simulate_data(spec, ms, mesh, fine_mesh, settings["sigma_floor"])
-    noisy, delta_abs = add_noise(data, settings["noise"], settings["seed"])
+def _fine_data(settings: dict, spec: PhantomSpec, ms: MeasurementSet, mesh):
+    """Data on ``mesh`` from a fresh data mesh, the minimum |det| of the first
+    two fine potentials (NaN for one current), and the data mesh's vertex count.
 
+    The data mesh, its potentials and its kept factorization are released
+    on return, before the caller adds noise or writes a file.
+    """
+    fine_mesh = generate_disk_mesh(settings["fine_vertices"])
+    data, fine_potentials = simulate_data(spec, ms, mesh, fine_mesh, settings["sigma_floor"])
     det_min = float("nan")
     if len(ms) >= 2:
         u1, u2 = (NodalField(fine_mesh, u) for u in fine_potentials.values[:2])
         _, det_min = determinant_diagnostic(u1, u2)
+    return data, det_min, fine_mesh.num_vertices
+
+
+def cmd_simulate(settings: dict) -> int:
+    ms = make_measurement_set(settings)
+    mesh = generate_disk_mesh(settings["mesh_vertices"])
+    spec = PhantomSpec(settings["background"], settings["inclusions"])
+    data, det_min, fine_vertices = _fine_data(settings, spec, ms, mesh)
+    noisy, delta_abs = add_noise(data, settings["noise"], settings["seed"])
 
     out = fileio.ensure_dir(settings["out"])
     fileio.write_mesh(os.path.join(out, "mesh.txt"), mesh)
@@ -321,7 +331,7 @@ def cmd_simulate(settings: dict) -> int:
     fileio.write_key_values(os.path.join(out, "data_info.txt"), "data", info)
     print(
         f"simulate: {len(ms)} power densities on {mesh.num_vertices} vertices "
-        f"(fine mesh {fine_mesh.num_vertices}), delta_abs {delta_abs:.6g}, "
+        f"(fine mesh {fine_vertices}), delta_abs {delta_abs:.6g}, "
         f"min |det| {det_min:.4g}"
     )
     return 0

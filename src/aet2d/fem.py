@@ -10,6 +10,14 @@ Conventions used throughout the package:
   result is bit for bit the matrix ``coo_matrix(...).tocsr()`` builds;
 * the mass matrix is the mesh's cached ``Mesh.mass``; it is the one
   data-space inner product, and ``norm_sq`` is its (stacked) norm;
+* the hat-function integrals int phi_i are the mesh's cached
+  ``Mesh.vertex_weights``: the mean constraint of the Neumann solve and
+  the lumped mass of the Laplacian surrogate use the same array;
+* both sparse solves, the reduced stiffness matrix of the Neumann solve
+  and the domain Gram matrix, are symmetric positive definite and go
+  through one factorization, ``_spd_factor`` (sparse LU with a symmetric
+  fill-reducing ordering and no pivoting); each solver checks its own
+  residuals;
 * vertex -> triangle averaging and its transpose are products with the
   mesh's cached incidence matrices ``incidence`` and ``incidence_t``;
 * pure-Neumann systems are closed by pinning one vertex: the reduced
@@ -199,12 +207,12 @@ class ZeroMeanSolver:
     K is the stiffness matrix of a pure-Neumann problem: symmetric
     positive semidefinite with the constants as kernel. Vertex 0 is
     pinned, and the reduced matrix K[1:, 1:], which is symmetric positive
-    definite, is factorized once with a symmetric fill-reducing ordering
-    and no pivoting. Each load b is made compatible by removing
-    lam * mean_row with lam = sum(b) / sum(mean_row), where mean_row holds
-    the integrals of the hat functions; the pinned solution is then
-    shifted to zero weighted mean. This gives the solution (u, lam) of
-    the bordered system K u + lam * mean_row = b, mean_row . u = 0.
+    definite, is factorized once by ``_spd_factor``. Each load b is made
+    compatible by removing lam * mean_row with lam = sum(b) / sum(mean_row),
+    where mean_row is ``mesh.vertex_weights``, the integrals of the hat
+    functions; the pinned solution is then shifted to zero weighted mean.
+    This gives the solution (u, lam) of the bordered system
+    K u + lam * mean_row = b, mean_row . u = 0.
 
     The factorization is reused for many right-hand sides (pass a 2D
     array to solve several simultaneously). Every solve checks its
@@ -214,19 +222,10 @@ class ZeroMeanSolver:
 
     def __init__(self, K: sparse.spmatrix, mesh: Mesh):
         self.K = sparse.csr_matrix(K)
-        # Row sums of the P1 mass matrix: int phi_i = |patch_i| / 3.
-        self.mean_row = mesh.vertex_patch_areas / 3.0
+        self.mean_row = mesh.vertex_weights
         self._total = float(self.mean_row.sum())
         self._n = self.K.shape[0]
-        # K is exactly symmetric, so the CSR arrays of K[1:, 1:] are its CSC
-        # arrays: hand them to splu as they are instead of converting.
-        sub = self.K[1:, 1:]
-        self._lu = splu(
-            sparse.csc_matrix((sub.data, sub.indices, sub.indptr), shape=sub.shape),
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options=dict(SymmetricMode=True),
-        )
+        self._lu = _spd_factor(self.K[1:, 1:])
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve for one RHS (V,) or a stack of them (V, k)."""
@@ -247,6 +246,28 @@ class ZeroMeanSolver:
         if single:
             return u[:, 0], float(lam[0])
         return u, lam
+
+
+def _spd_factor(a: sparse.csr_matrix):
+    """Sparse LU factor (an object with ``solve``) of a symmetric positive definite ``a``.
+
+    The one factorization of the package: a symmetric fill-reducing
+    ordering (minimum degree on A^T + A) and no pivoting, which an SPD
+    matrix does not need. ``a`` must be exactly symmetric in values and
+    pattern, with sorted indices, so that its CSR arrays are its CSC
+    arrays and are handed to SuperLU as they are, without a conversion.
+    Every matrix assembled by ``Mesh.scatter`` on a conforming P1 mesh
+    is: an off-diagonal entry (i, j) sums the terms of the at most two
+    triangles that share the edge ij, and a two-term floating-point sum
+    does not depend on its order. The Gram matrices are symmetrized
+    explicitly.
+    """
+    return splu(
+        sparse.csc_matrix((a.data, a.indices, a.indptr), shape=a.shape),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options=dict(SymmetricMode=True),
+    )
 
 
 def _check_residual(what: str, resid: np.ndarray, scale: np.ndarray, label: str) -> None:
@@ -274,7 +295,7 @@ def gram_matrix(mesh: Mesh, spec: InnerProductSpec) -> sparse.csr_matrix:
     if spec.beta1 == 0.0 and spec.beta2 == 0.0:
         return m
     k1 = unit_stiffness(mesh)
-    lump_inv = sparse.diags(1.0 / np.asarray(m.sum(axis=1)).ravel())
+    lump_inv = sparse.diags(1.0 / mesh.vertex_weights)
     lap = lump_inv @ k1
     g2 = (lap.T @ m @ lap).tocsr()
     g = (m + spec.beta1 * k1 + spec.beta2 * g2).tocsr()
@@ -288,6 +309,8 @@ class GramSolver:
     functional w, y = M w with M = ``mesh.mass``) to a domain-space
     field, and the induced inner product. Build once per (mesh, spec) and
     reuse. The data-space product is not held here: it is ``mesh.mass``.
+    G is factorized once by ``_spd_factor``, the factorization that
+    ``ZeroMeanSolver`` uses for the reduced stiffness matrix.
 
     The solve checks its residual and raises ``SolverError`` when
     |G x - y| exceeds 1e-10 * (|G| |x| + |y|), with |G| the largest
@@ -301,7 +324,7 @@ class GramSolver:
 
     def __init__(self, mesh: Mesh, spec: InnerProductSpec):
         self.gram = gram_matrix(mesh, spec)
-        self._lu = splu(self.gram.tocsc())
+        self._lu = _spd_factor(self.gram)
         self._gram_norm = float(abs(self.gram).sum(axis=1).max())
 
     def solve_dual(self, y: np.ndarray) -> np.ndarray:

@@ -68,8 +68,7 @@ class TransferMatrix:
     measurement), columns the domain vertex basis.
     """
 
-    matrix: np.ndarray  # (M*V, V)
-    blocks: list[np.ndarray]  # per-measurement (V, V) views
+    matrix: np.ndarray  # (M*V, V); block j is matrix.reshape(M, V, V)[j]
     mesh: Mesh
 
 
@@ -96,15 +95,16 @@ def assemble_transfer_matrix(
     By linearity over the hat basis the matrix action T @ h is the
     stacked pairing of the derivative in direction h with the data basis,
     for arbitrary nodal directions h. Each block is written in place into
-    its rows of the matrix, and ``blocks`` are views of those rows.
+    its rows of the matrix.
     """
     mesh = sigma_truth.mesh
     state = solve_measurement_set(sigma_truth, ms)
     v = mesh.num_vertices
     matrix = np.empty((state.num_measurements * v, v))
     slices = (matrix[j * v : (j + 1) * v] for j in range(state.num_measurements))
-    blocks = list(_transfer_blocks(state, state.solver.solve(np.eye(v)), slices))
-    return TransferMatrix(matrix=matrix, blocks=blocks, mesh=mesh)
+    for _ in _transfer_blocks(state, state.solver.solve(np.eye(v)), slices):
+        pass  # each block is written into its rows of ``matrix``
+    return TransferMatrix(matrix=matrix, mesh=mesh)
 
 
 def _transfer_blocks(state: ForwardState, kinv: np.ndarray, out):

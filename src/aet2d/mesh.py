@@ -80,12 +80,13 @@ class Mesh:
     threads. Derived data is computed lazily and cached: the geometry
     (areas, P1 gradients, local stiffness blocks, patch areas), the
     ``assembly_plan`` that ``scatter`` assembles every global matrix
-    with, the mass matrix ``mass`` (the data-space inner product), and
-    the fixed-pattern sparse operators between vertex and triangle values
-    (``incidence_t``, its transpose view ``incidence``, and
-    ``gradient_operator``). Their index arrays are int32, the incidence
-    shares ``triangles`` as its index array, and ``gradient_operator``
-    stores no copy of ``hat_gradients``.
+    with, the mass matrix ``mass`` (the data-space inner product), the
+    hat-function integrals ``vertex_weights``, and the fixed-pattern
+    sparse operators between vertex and triangle values (``incidence_t``,
+    its transpose view ``incidence``, and ``gradient_operator``). Their
+    index arrays are int32, the incidence shares ``triangles`` as its
+    index array, and ``gradient_operator`` stores no copy of
+    ``hat_gradients``.
     """
 
     def __init__(self, vertices, triangles, boundary_edges, boundary_edge_angles):
@@ -155,6 +156,17 @@ class Mesh:
     def vertex_patch_areas(self) -> np.ndarray:
         """(V,) total area of the triangles incident to each vertex."""
         w = self.incidence_t @ self.triangle_areas
+        w.setflags(write=False)
+        return w
+
+    @cached_property
+    def vertex_weights(self) -> np.ndarray:
+        """(V,) integrals of the hat functions, int phi_i = |patch_i| / 3, read-only.
+
+        The row sums of ``mass``, up to rounding; the one formula for the
+        mean constraint of the Neumann solve and the lumped mass.
+        """
+        w = self.vertex_patch_areas / 3.0
         w.setflags(write=False)
         return w
 

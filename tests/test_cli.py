@@ -1,12 +1,14 @@
 import argparse
 import math
 import os
+import weakref
 
 import numpy as np
 import pytest
 
 from aet2d import cli, fileio
 from aet2d.cli import CliError, build_parser, main, parse_angle
+from aet2d.fem import ZeroMeanSolver
 from aet2d.mesh import generate_disk_mesh
 from reference import read_iteration_log
 
@@ -159,6 +161,47 @@ def test_simulate_deterministic(tmp_path):
         outs.append(out)
     for fname in ("E_01.csv", "E_noisy_01.csv", "data_info.txt", "truth.csv"):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+
+def test_simulate_releases_the_data_mesh_before_writing(tmp_path, monkeypatch):
+    # The 3000-vertex data mesh and its kept factorization are dead by the
+    # time the first file is written: nothing after the data needs them.
+    fine_refs, solver_refs, writes = [], [], []
+    generate = cli.generate_disk_mesh
+
+    def spy_generate(n):
+        mesh = generate(n)
+        if n == 3000:
+            fine_refs.append(weakref.ref(mesh))
+        return mesh
+
+    init = ZeroMeanSolver.__init__
+
+    def spy_init(self, K, mesh):
+        init(self, K, mesh)
+        solver_refs.append(weakref.ref(self))
+
+    def checked(write):
+        def wrapper(*args, **kwargs):
+            writes.append([ref() is None for ref in fine_refs + solver_refs])
+            return write(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "generate_disk_mesh", spy_generate)
+    monkeypatch.setattr(ZeroMeanSolver, "__init__", spy_init)
+    for name in dir(fileio):
+        if name.startswith("write_"):
+            monkeypatch.setattr(fileio, name, checked(getattr(fileio, name)))
+    code = main(
+        [
+            "simulate", "--mesh-vertices", "300", "--measurements", "2", "--noise", "0.05",
+            "--out", str(tmp_path / "sim"), "--config", _fine_config(tmp_path),
+        ]
+    )
+    assert code == 0
+    assert len(fine_refs) == len(solver_refs) == 1
+    assert writes and all(all(dead) for dead in writes)
 
 
 def test_simulate_constant_conductivity_unit_power(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
+from aet2d import fem
 from aet2d.fem import (
     CompatibilityWarning,
     GramSolver,
@@ -17,8 +18,10 @@ from aet2d.fem import (
     assemble_weighted_mass,
     gram_matrix,
     norm_sq,
+    unit_stiffness,
 )
-from aet2d.mesh import MASS_BASE, BoundaryArc, Mesh
+from aet2d.mesh import MASS_BASE, BoundaryArc, Mesh, generate_disk_mesh
+from aet2d.phantom import default_phantom, phantom_field
 
 FULL = BoundaryArc(2.0 * math.pi)
 
@@ -292,6 +295,69 @@ def test_zero_mean_solver_factors_csr_arrays_as_csc_bitwise(mesh2000):
     )
     solver = ZeroMeanSolver(k, mesh2000)
     assert solver._lu.solve(b).tobytes() == lu.solve(b).tobytes()
+
+
+def _seam_matrix(case, mesh2000):
+    """A matrix that ``_spd_factor`` factorizes: K(phantom) or a domain Gram."""
+    if case.startswith("K"):
+        mesh = mesh2000 if case == "K2000" else generate_disk_mesh(300)
+        return assemble_stiffness(mesh, phantom_field(default_phantom(), mesh))
+    return gram_matrix(mesh2000, getattr(InnerProductSpec, case)())
+
+
+@pytest.mark.parametrize("case", ["K300", "K2000", "l2", "h2", "h2_beta"])
+def test_seam_matrices_have_their_csc_arrays_as_csr_arrays(mesh2000, case):
+    # The precondition of _spd_factor, which hands CSR arrays to splu as CSC.
+    a = _seam_matrix(case, mesh2000)
+    for m in (a, a[1:, 1:]) if case.startswith("K") else (a,):
+        converted = m.tocsc()
+        for name in ("data", "indices", "indptr"):
+            assert getattr(m, name).tobytes() == getattr(converted, name).tobytes()
+
+
+@pytest.mark.parametrize("spec", ["l2", "h2", "h2_beta"])
+def test_splu_is_reached_only_through_the_seam(mesh500, monkeypatch, spec):
+    calls = []
+    seam = fem._spd_factor
+    inside = []
+
+    def spy_seam(a):
+        inside.append(True)
+        try:
+            return seam(a)
+        finally:
+            inside.pop()
+
+    def spy_splu(a, **options):
+        calls.append((bool(inside), options))
+        return splu(a, **options)
+
+    monkeypatch.setattr(fem, "_spd_factor", spy_seam)
+    monkeypatch.setattr(fem, "splu", spy_splu)
+    symmetric = dict(
+        permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True)
+    )
+    GramSolver(mesh500, getattr(InnerProductSpec, spec)())
+    assert calls == [(True, symmetric)]
+    ZeroMeanSolver(assemble_stiffness(mesh500, NodalField.constant(mesh500, 1.0)), mesh500)
+    assert calls == [(True, symmetric)] * 2
+
+
+def test_zero_mean_solver_mean_row_is_vertex_weights(mesh500):
+    k = assemble_stiffness(mesh500, NodalField.constant(mesh500, 1.0))
+    assert ZeroMeanSolver(k, mesh500).mean_row is mesh500.vertex_weights
+
+
+def test_gram_lumps_with_vertex_weights(mesh2000):
+    spec = InnerProductSpec.h2_beta()
+    m = mesh2000.mass
+    k1 = unit_stiffness(mesh2000)
+    lap = sparse.diags(1.0 / mesh2000.vertex_weights) @ k1
+    g = (m + spec.beta1 * k1 + spec.beta2 * (lap.T @ m @ lap).tocsr()).tocsr()
+    g = ((g + g.T) * 0.5).tocsr()
+    built = gram_matrix(mesh2000, spec)
+    for name in ("data", "indices", "indptr"):
+        assert getattr(built, name).tobytes() == getattr(g, name).tobytes()
 
 
 def test_zero_mean_solver_rejects_matrix_without_constant_kernel(mesh500):

@@ -30,8 +30,14 @@ def desk_transfer(mesh500):
     return assemble_transfer_matrix(truth, ms), truth, ms
 
 
+def _blocks(T):
+    """(M, V, V) view of the per-measurement blocks of a transfer matrix."""
+    v = T.mesh.num_vertices
+    return T.matrix.reshape(-1, v, v)
+
+
 def _report_from_matrix(mesh, matrix, **kw):
-    return svd_analyze(TransferMatrix(matrix=matrix, blocks=[matrix], mesh=mesh), **kw)
+    return svd_analyze(TransferMatrix(matrix=matrix, mesh=mesh), **kw)
 
 
 # Reference operators of the transfer matrix, built by COO -> CSR scatter.
@@ -120,11 +126,10 @@ def _reference_blocks(truth, ms):
 def test_single_inverse_matches_per_measurement_solves(desk_transfer):
     T, truth, ms = desk_transfer
     reference = _reference_blocks(truth, ms)
-    for blk, ref in zip(T.blocks, reference, strict=True):
+    for blk, ref in zip(_blocks(T), reference, strict=True):
         assert np.max(np.abs(blk - ref)) <= 1e-12 * np.max(np.abs(ref))
     again = assemble_transfer_matrix(truth, ms)
     assert np.array_equal(again.matrix, T.matrix)
-    assert all(np.array_equal(a, b) for a, b in zip(again.blocks, T.blocks, strict=True))
 
 
 def test_matrix_agrees_with_operator(desk_transfer, rng):
@@ -137,20 +142,11 @@ def test_matrix_agrees_with_operator(desk_transfer, rng):
         assert np.linalg.norm(via_matrix - direct) <= 1e-10 * np.linalg.norm(direct)
 
 
-def test_matrix_shape_and_blocks(desk_transfer):
+def test_matrix_shape(desk_transfer):
     T, _, _ = desk_transfer
     v = T.mesh.num_vertices
     assert T.matrix.shape == (3 * v, v)
-    assert np.array_equal(T.matrix[:v], T.blocks[0])
     assert np.all(np.isfinite(T.matrix))
-
-
-def test_blocks_are_views_of_matrix(desk_transfer):
-    T, _, _ = desk_transfer
-    v = T.mesh.num_vertices
-    for j, blk in enumerate(T.blocks):
-        assert np.shares_memory(blk, T.matrix)
-        assert np.array_equal(blk, T.matrix[j * v : (j + 1) * v])
 
 
 def test_constant_direction_column_sum(mesh500):
@@ -384,7 +380,7 @@ def grid500(mesh500):
     for alpha in TABLE_ANGLES:
         T = assemble_transfer_matrix(truth, MeasurementSet.trig(alpha))
         for combo in TABLE_COMBOS:
-            stacked = np.vstack([T.blocks[j - 1] for j in combo])
+            stacked = np.vstack([_blocks(T)[j - 1] for j in combo])
             spectra[combo, alpha] = singular_values(stacked)
     return truth, spectra
 
@@ -477,7 +473,7 @@ def test_condition_table_rank_deficient_block_falls_back(mesh200, monkeypatch):
     T = assemble_transfer_matrix(truth, MeasurementSet.trig(alpha))
     for row, (shape, upper, value) in zip(rows, fallbacks, strict=True):
         assert shape == (v, v) and upper
-        stacked = np.vstack([T.blocks[j - 1] for j in row["indices"]])
+        stacked = np.vstack([_blocks(T)[j - 1] for j in row["indices"]])
         with np.errstate(divide="ignore"):
             assert row[alpha] == value == condition_number(stacked) == math.inf
 
@@ -492,7 +488,7 @@ def test_condition_table_factorizes_once_per_grid(mesh200, monkeypatch):
         T = assemble_transfer_matrix(truth, MeasurementSet.trig(alpha))
         factors = {
             j: linalg.qr(blk, mode="r", check_finite=False)[0]
-            for j, blk in zip((1, 2, 3), T.blocks, strict=True)
+            for j, blk in zip((1, 2, 3), _blocks(T), strict=True)
         }
         for combo, r in zip(TABLE_COMBOS, illposed._combination_factors(TABLE_COMBOS, factors)):
             reference[combo, alpha] = illposed._factor_condition(r, None)

@@ -161,3 +161,14 @@ def test_mesh_operators_share_storage(mesh500):
     grad = mesh500.gradient_operator
     assert grad.indices.dtype == grad.indptr.dtype == np.int32
     assert np.shares_memory(grad.data, mesh500.hat_gradients)
+
+
+def test_vertex_weights_are_cached_read_only_patch_thirds(mesh2000):
+    w = mesh2000.vertex_weights
+    assert w is mesh2000.vertex_weights
+    with pytest.raises(ValueError, match="read-only"):
+        w[0] = 1.0
+    assert w.tobytes() == (mesh2000.vertex_patch_areas / 3.0).tobytes()
+    # int phi_i is also the i-th row sum of the mass matrix, up to rounding
+    lumped = np.asarray(mesh2000.mass.sum(axis=1)).ravel()
+    assert np.max(np.abs(w - lumped) / lumped) <= 1e-15
