@@ -6,6 +6,8 @@ Runs ``phantom``, ``simulate``, ``reconstruct``, ``svd`` and
 CLI setting is pinned: a flag, or the config section of a command that
 reads it, sets it, to a non-default value where the runs allow. It then
 prints one ``<sha256>  <path>`` line per written file, in path order.
+``condition-table`` runs twice, the second time with ``--truncate 40``,
+so the grid's SVD of a square triangle has a line too.
 The commands' own messages go to stderr. One ``reconstruct`` runs in
 L2 through a second config, ``L2_CONFIG``, which sets beta1 = beta2 = 0;
 it is written outside that directory, so it adds no line. Next it runs
@@ -79,6 +81,7 @@ COMMANDS = (
     ("l2.ini", ["reconstruct", "--data", "special", "--max-iter", "30", "--out", "special/recon"]),
     ("cli.ini", ["svd", "--alpha", "pi", "--measurements", "2", "--out", "svd"]),
     ("cli.ini", ["condition-table", "--out", "table"]),
+    ("cli.ini", ["condition-table", "--truncate", "40", "--out", "table_truncated"]),
 )
 
 

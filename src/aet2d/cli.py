@@ -23,12 +23,7 @@ from typing import Callable, NamedTuple
 from . import fileio
 from .fem import InnerProductSpec, NodalField
 from .forward import MeasurementSet, determinant_diagnostic, simulate_data
-from .illposed import (
-    TABLE_ANGLES,
-    assemble_transfer_matrix,
-    condition_table,
-    svd_analyze,
-)
+from .illposed import assemble_transfer_matrix, condition_table, svd_analyze
 from .inversion import ReconstructionConfig, add_noise, run_landweber
 from .mesh import BoundaryArc, generate_disk_mesh
 from .phantom import Crescent, Disc, Inclusion, PhantomSpec, default_phantom, phantom_field
@@ -214,12 +209,13 @@ def _read_config(path: str) -> dict[str, dict]:
     """Typed values of each section of the config at ``path``. A section must
     be [common] or a command, and a command's section may hold only keys it reads.
     """
-    if not os.path.exists(path):
-        raise CliError(f"config file not found: {path}")
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read(path)
-    except configparser.Error as exc:
+        with open(path) as fp:
+            parser.read_file(fp)
+    except FileNotFoundError:
+        raise CliError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
         raise CliError(f"cannot read config file {path}: {exc}") from None
     sections = {}
     # configparser lists no [DEFAULT] section; its keys would reach every section
@@ -302,8 +298,7 @@ def _fine_data(settings: dict, spec: PhantomSpec, ms: MeasurementSet, mesh):
     data, fine_potentials = simulate_data(spec, ms, mesh, fine_mesh, settings["sigma_floor"])
     det_min = float("nan")
     if len(ms) >= 2:
-        u1, u2 = (NodalField(fine_mesh, u) for u in fine_potentials.values[:2])
-        _, det_min = determinant_diagnostic(u1, u2)
+        _, det_min = determinant_diagnostic(fine_potentials)
     return data, det_min, fine_mesh.num_vertices
 
 
@@ -451,8 +446,8 @@ def cmd_condition_table(settings: dict) -> int:
     truth = phantom_field(PhantomSpec(settings["background"], settings["inclusions"]), mesh)
     rows = condition_table(truth, truncate=settings["truncate"])
     path = os.path.join(fileio.ensure_dir(settings["out"]), "condition_table.csv")
-    fileio.write_condition_table(path, rows, TABLE_ANGLES)
-    print(f"condition-table: wrote {len(rows)} rows x {len(TABLE_ANGLES)} angles to {path}")
+    fileio.write_condition_table(path, rows)
+    print(f"condition-table: wrote {len(rows)} rows x {len(rows[0]) - 1} angles to {path}")
     return 0
 
 

@@ -132,8 +132,9 @@ def write_singular_values(path, values: np.ndarray) -> None:
         fp.write("".join(f"{k},{s!r}\n" for k, s in enumerate(_floats(values), start=1)))
 
 
-def write_condition_table(path, rows, angles) -> None:
-    """Condition-number grid as CSV, one column per angle."""
+def write_condition_table(path, rows) -> None:
+    """Condition-number grid as CSV, one column per angle key of the rows."""
+    angles = [key for key in rows[0] if key != "indices"]
     with open(path, "w") as fp:
         header = ",".join(
             ["measurements", "indices"] + [f"alpha={_fmt(a)}" for a in angles]

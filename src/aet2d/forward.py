@@ -207,16 +207,18 @@ def solve_measurement_set(
     )
 
 
-def determinant_diagnostic(u1: NodalField, u2: NodalField):
-    """Per-triangle det(grad u1, grad u2) and its minimum absolute value.
+def determinant_diagnostic(potentials: NodalField):
+    """Per-triangle det(grad u1, grad u2) of the first two rows u1, u2 of an
+    (M >= 2, V) stack of potentials, and its minimum absolute value.
 
     A minimum bounded away from zero indicates a stable two-measurement
     configuration.
     """
-    if u1.mesh is not u2.mesh:
-        raise ValueError("fields must share a mesh")
-    g1 = gradient_on_triangles(u1.mesh, u1.values)
-    g2 = gradient_on_triangles(u2.mesh, u2.values)
+    if potentials.values.ndim != 2 or len(potentials.values) < 2:
+        raise ValueError(
+            f"expected a stack of at least two fields, got shape {potentials.values.shape}"
+        )
+    g1, g2 = gradient_on_triangles(potentials.mesh, potentials.values[:2])
     det = g1[:, 0] * g2[:, 1] - g1[:, 1] * g2[:, 0]
     return det, float(np.min(np.abs(det)))
 

@@ -24,15 +24,17 @@ singular vectors (Chan's R-SVD). LAPACK's gesdd makes the same
 reduction internally, so every value and vector keeps its bits, but the
 (M*V, V) left singular vectors that nothing reads are never formed.
 
-Condition numbers of row-stacked blocks come from triangular factors,
-without forming a Gram matrix (so without squaring the condition
-number). Each block is reduced once to the R of its Householder QR; the
-R of a stack of blocks is the R of the stacked triangles (TSQR), which
-LAPACK tpqrt computes from two triangles. The extreme singular values of
-R are found by Lanczos on R^T R and on its inverse through triangular
-solves. Householder QR is backward stable, so the smallest singular
-value is accurate to about eps * sigma_max in absolute terms, as it is
-from the SVD of the stacked blocks.
+The condition grid is the fixed table ``TABLE_COMBOS`` x ``TABLE_ANGLES``
+of the first three trigonometric currents. Its condition numbers of
+row-stacked blocks come from triangular factors, without forming a Gram
+matrix (so without squaring the condition number). Each block is reduced
+once to the R of its Householder QR; the R of a stack of blocks is the R
+of the stacked triangles (TSQR), which LAPACK tpqrt computes from two
+triangles in one fixed fold per angle (see ``condition_table``). The
+extreme singular values of R are found by Lanczos on R^T R and on its
+inverse through triangular solves. Householder QR is backward stable, so
+the smallest singular value is accurate to about eps * sigma_max in
+absolute terms, as it is from the SVD of the stacked blocks.
 """
 
 from __future__ import annotations
@@ -101,8 +103,8 @@ def assemble_transfer_matrix(
     state = solve_measurement_set(sigma_truth, ms)
     v = mesh.num_vertices
     matrix = np.empty((state.num_measurements * v, v))
-    slices = (matrix[j * v : (j + 1) * v] for j in range(state.num_measurements))
-    for _ in _transfer_blocks(state, state.solver.solve(np.eye(v)), slices):
+    blocks = matrix.reshape(state.num_measurements, v, v)
+    for _ in _transfer_blocks(state, state.solver.solve(np.eye(v)), blocks):
         pass  # each block is written into its rows of ``matrix``
     return TransferMatrix(matrix=matrix, mesh=mesh)
 
@@ -112,8 +114,9 @@ def _transfer_blocks(state: ForwardState, kinv: np.ndarray, out):
     ``out`` and yield that array.
 
     ``kinv`` is K+ of the state's conductivity, ``state.solver`` applied
-    to the identity. ``out`` may repeat one array if each block is used
-    before the next is asked for.
+    to the identity. ``out`` is the (M, V, V) view of a transfer matrix,
+    or one array repeated if each block is used before the next is asked
+    for.
     """
     mesh = state.mesh
     # (V, T) entry (v, t) = int_t sigma phi_v, exact for P1 sigma. CSR, not
@@ -213,25 +216,6 @@ def _stacked_factor(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
     return np.triu(r)
 
 
-def _combination_factors(combos, factors: dict):
-    """Yield R of the stacked blocks of each combination in turn.
-
-    A combination's R folds its blocks in one at a time with
-    ``_stacked_factor``. The factors of the previous combination's prefixes
-    are reused and released once no longer a prefix: (1, 2, 3) folds 3
-    into the pair (1, 2), which then serves the combination (1, 2) too.
-    """
-    prefixes = {}
-    for combo in combos:
-        prefixes = {p: r for p, r in prefixes.items() if combo[: len(p)] == p}
-        r = factors[combo[0]]
-        for k in range(2, len(combo) + 1):
-            if combo[:k] not in prefixes:
-                prefixes[combo[:k]] = _stacked_factor(r, factors[combo[k - 1]])
-            r = prefixes[combo[:k]]
-        yield r
-
-
 def _largest_eigenvalue(n: int, matvec) -> float:
     """Largest eigenvalue of a symmetric operator by Lanczos (ARPACK).
 
@@ -265,50 +249,56 @@ def _factor_condition(r: np.ndarray, truncate: int | None) -> float:
     return math.sqrt(lam_max * lam_inv)
 
 
-def condition_table(
-    sigma_truth: NodalField,
-    angles=TABLE_ANGLES,
-    combos=TABLE_COMBOS,
-    truncate: int | None = None,
-):
-    """Condition numbers over the (measurement combination, angle) grid.
+def condition_table(sigma_truth: NodalField, truncate: int | None = None):
+    """Condition numbers over the fixed grid ``TABLE_COMBOS`` x ``TABLE_ANGLES``.
 
     Factorizes K(sigma) and forms K+ once for the whole grid. Each angle
     solves its own potentials with that factorization, then forms the
-    full-measurement transfer blocks B_j one at a time in one buffer,
-    reducing each to the R_j of its QR before the next is formed. A
-    combination's R comes from stacking triangles with LAPACK tpqrt: each
-    pair from (R_i, R_j), the triple from (R_12, R_3). Its condition
-    number is sqrt(lambda_max(R^T R) * lambda_max((R^T R)^-1)), each
-    eigenvalue from Lanczos (ARPACK ``eigsh`` with a fixed start vector,
-    so the grid repeats bit for bit; non-convergence raises). With ``truncate`` set, or for an R with an
+    three transfer blocks B_j one at a time in one buffer, reducing each
+    to the R_j of its QR before the next is formed. The stacked
+    combinations come from LAPACK tpqrt on two triangles: R_12 from
+    (R_1, R_2), then R_123 from (R_12, R_3), R_23 from (R_2, R_3) and R_13
+    from (R_1, R_3), so an angle makes 3 QRs and 4 tpqrt calls. Besides
+    R_1, R_2, R_3 and R_12 at most one stacked triangle is alive, and
+    every triangle is released before the next angle's solve.
+
+    An entry's condition number is sqrt(lambda_max(R^T R) *
+    lambda_max((R^T R)^-1)), each eigenvalue from Lanczos (ARPACK
+    ``eigsh`` with a fixed start vector, so the grid repeats bit for bit;
+    non-convergence raises). With ``truncate`` set, or for an R with an
     exactly zero diagonal entry, the entry is ``condition_number`` of the
     square R, whose singular values are those of the stacked blocks.
 
     Returns
     -------
     list of dict
-        One row per combination with key ``indices`` and one condition
-        number per angle (keyed by the angle value).
+        One row per combination of ``TABLE_COMBOS`` with key ``indices``
+        and one condition number per angle (keyed by the angle value).
     """
     _check_truncate(truncate)
     mesh = sigma_truth.mesh
     v = mesh.num_vertices
-    all_indices = tuple(sorted({j for combo in combos for j in combo}))
     solver = ZeroMeanSolver(assemble_stiffness(mesh, sigma_truth), mesh)
     kinv = solver.solve(np.eye(v))
-    rows = [{"indices": combo} for combo in combos]
-    for alpha in angles:
-        ms = MeasurementSet.trig(alpha, all_indices)
-        state = solve_measurement_set(sigma_truth, ms, solver=solver)
+    rows = [{"indices": combo} for combo in TABLE_COMBOS]
+    for alpha in TABLE_ANGLES:
+        state = solve_measurement_set(sigma_truth, MeasurementSet.trig(alpha), solver=solver)
         # each block is reduced to its R before the next overwrites the buffer
-        blocks = _transfer_blocks(state, kinv, itertools.repeat(np.empty((v, v))))
-        factors = {
-            j: linalg.qr(blk, mode="r", check_finite=False)[0]
-            for j, blk in zip(all_indices, blocks)
+        r1, r2, r3 = (
+            linalg.qr(blk, mode="r", check_finite=False)[0]
+            for blk in _transfer_blocks(state, kinv, itertools.repeat(np.empty((v, v))))
+        )
+        r12 = _stacked_factor(r1, r2)
+        conds = {
+            (1, 2, 3): _factor_condition(_stacked_factor(r12, r3), truncate),
+            (1, 2): _factor_condition(r12, truncate),
+            (2, 3): _factor_condition(_stacked_factor(r2, r3), truncate),
+            (1, 3): _factor_condition(_stacked_factor(r1, r3), truncate),
+            (1,): _factor_condition(r1, truncate),
+            (2,): _factor_condition(r2, truncate),
+            (3,): _factor_condition(r3, truncate),
         }
-        del blocks
-        for row, r in zip(rows, _combination_factors(combos, factors)):
-            row[alpha] = _factor_condition(r, truncate)
-        del factors
+        del r1, r2, r3, r12
+        for row in rows:
+            row[alpha] = conds[row["indices"]]
     return rows

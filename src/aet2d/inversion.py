@@ -197,11 +197,13 @@ def run_landweber(
     errors: list[float] = []
 
     current = evaluate(NodalField.constant(mesh, config.sigma0))
-    stop_reason = "max_iter"
-
-    for _ in range(config.max_iter):
+    # iterates 0..max_iter: each is tested for the stop before a step from it
+    for k in range(config.max_iter + 1):
         if delta_abs > 0.0 and current.res_norm <= config.tau * delta_abs:
             stop_reason = "discrepancy"
+            break
+        if k == config.max_iter:
+            stop_reason = "max_iter"
             break
         try:
             omega, accepted = _descent_step(current, gram, evaluate, config)
@@ -212,14 +214,6 @@ def run_landweber(
         omegas.append(omega)
         errors.append(rel_error(current.state.sigma))
         current = accepted
-
-    if (
-        stop_reason == "max_iter"
-        and delta_abs > 0.0
-        and current.res_norm <= config.tau * delta_abs
-    ):
-        # budget ran out on the first iterate satisfying the test
-        stop_reason = "discrepancy"
 
     residuals.append(current.res_norm)
     omegas.append(float("nan"))

@@ -183,8 +183,7 @@ def test_criterion_4_determinant_diagnostic(mesh2000):
     state = solve_measurement_set(
         NodalField.constant(mesh2000, 1.0), MeasurementSet.special((1, 2))
     )
-    u1, u2 = (NodalField(mesh2000, u) for u in state.potentials.values)
-    det, dmin = determinant_diagnostic(u1, u2)
+    det, dmin = determinant_diagnostic(state.potentials)
     within = np.max(np.abs(det + 1.0))
     record(
         within <= 0.1 and dmin >= 0.9,

@@ -409,6 +409,22 @@ def test_config_without_a_section_header_exits_2(tmp_path, capsys):
     assert f"cannot read config file {cfg}" in capsys.readouterr().err
 
 
+def test_config_that_cannot_be_opened_exits_2(tmp_path, capsys):
+    # a missing file, a path that exists but is no file, and bytes that are no text
+    missing = tmp_path / "missing.ini"
+    args = ("phantom", "--mesh-vertices", 60, "--out", tmp_path / "o", "--config")
+    assert run_cli(*args, missing) == 2
+    assert f"config file not found: {missing}" in capsys.readouterr().err
+    directory = tmp_path / "cfg"
+    directory.mkdir()
+    binary = tmp_path / "binary.ini"
+    binary.write_bytes(b"\xff\xfe[phantom]\n")
+    for path in (directory, binary):
+        assert run_cli(*args, path) == 2
+        assert f"cannot read config file {path}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_names_a_bad_integer(tmp_path, capsys):
     cfg = tmp_path / "int.ini"
     cfg.write_text("[phantom]\nmesh_vertices = 2k\n")

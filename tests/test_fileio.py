@@ -156,12 +156,14 @@ def test_condition_table_csv(tmp_path):
         {"indices": (1,), 3.14: 100.0, 6.28: 50.0},
     ]
     path = tmp_path / "table.csv"
-    fileio.write_condition_table(path, rows, angles=(6.28, 3.14))
+    fileio.write_condition_table(path, rows)
     lines = path.read_text().splitlines()
-    assert lines[0].startswith("measurements,indices,alpha=")
+    # one column per angle key, in the rows' key order
+    assert lines[0] == "measurements,indices,alpha=3.14,alpha=6.28"
     assert lines[1].split(",")[0] == "2"
     assert lines[1].split(",")[1] == "g1+g2"
-    assert float(lines[2].split(",")[2]) == 50.0
+    assert float(lines[2].split(",")[2]) == 100.0
+    assert float(lines[2].split(",")[3]) == 50.0
 
 
 def test_key_values_roundtrip(tmp_path):

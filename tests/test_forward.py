@@ -137,21 +137,23 @@ def test_sigma_scaling_inverts_power(mesh500):
 
 
 def test_determinant_exact_fields(mesh500):
-    x = NodalField(mesh500, mesh500.vertices[:, 0])
-    y = NodalField(mesh500, mesh500.vertices[:, 1])
-    det, dmin = determinant_diagnostic(y, x)
+    x, y = mesh500.vertices.T
+    det, dmin = determinant_diagnostic(NodalField(mesh500, np.stack([y, x])))
     assert np.allclose(det, -1.0, atol=1e-12)
     assert dmin == pytest.approx(1.0, abs=1e-12)
-    det_same, _ = determinant_diagnostic(y, y)
+    # only the first two rows enter
+    det_same, _ = determinant_diagnostic(NodalField(mesh500, np.stack([y, y, x])))
     assert np.allclose(det_same, 0.0, atol=1e-15)
+    for values in (y, y[None]):
+        with pytest.raises(ValueError, match="at least two fields"):
+            determinant_diagnostic(NodalField(mesh500, values))
 
 
 def test_determinant_special_pair(mesh2000):
     state = solve_measurement_set(
         NodalField.constant(mesh2000, 1.0), MeasurementSet.special((1, 2))
     )
-    u1, u2 = (NodalField(mesh2000, u) for u in state.potentials.values)
-    _, dmin = determinant_diagnostic(u1, u2)
+    _, dmin = determinant_diagnostic(state.potentials)
     assert dmin >= 0.9
 
 

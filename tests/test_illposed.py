@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -316,12 +317,11 @@ def test_truncate_is_checked_before_any_work(desk_transfer, monkeypatch):
 
 def test_condition_grid_orderings(mesh200):
     truth = phantom_field(default_phantom(), mesh200)
-    angles = (2.0 * math.pi, math.pi)
-    rows = condition_table(truth, angles=angles)
+    rows = condition_table(truth)
     by_count = {}
     for row in rows:
         by_count.setdefault(len(row["indices"]), []).append(row)
-    for alpha in angles:
+    for alpha in TABLE_ANGLES:
         worst_m2 = max(r[alpha] for r in by_count[2])
         best_m1 = min(r[alpha] for r in by_count[1])
         assert worst_m2 < best_m1
@@ -434,21 +434,8 @@ def test_condition_table_within_1e10_of_stacked_svd(grid500):
 
 def test_condition_table_repeats_bitwise(mesh500):
     truth = phantom_field(default_phantom(), mesh500)
-    angles = (2.0 * math.pi, 0.5 * math.pi)
     # the entries are finite and >= 1, so equal floats are equal bits
-    assert condition_table(truth, angles=angles) == condition_table(truth, angles=angles)
-
-
-def test_condition_table_combination_order_is_bitwise_irrelevant(mesh200):
-    # Each combination folds its triangles in the same order whichever
-    # combinations came before, so reusing prefixes changes no bit.
-    truth = phantom_field(default_phantom(), mesh200)
-    angles = (math.pi,)
-    default = {row["indices"]: row[math.pi] for row in condition_table(truth, angles=angles)}
-    combos = ((3,), (1, 3), (2, 3), (1, 2, 3), (1, 2), (2,), (1,))
-    rows = condition_table(truth, angles=angles, combos=combos)
-    assert [row["indices"] for row in rows] == list(combos)
-    assert all(row[math.pi] == default[row["indices"]] for row in rows)
+    assert condition_table(truth) == condition_table(truth)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -466,32 +453,46 @@ def test_condition_table_rank_deficient_block_falls_back(mesh200, monkeypatch):
     monkeypatch.setattr(illposed, "_transfer_blocks", zero_first_column)
     fallbacks = _spy_condition_number(monkeypatch)
     truth = phantom_field(default_phantom(), mesh200)
-    alpha = 2.0 * math.pi
-    rows = condition_table(truth, angles=(alpha,))
-    assert len(fallbacks) == len(TABLE_COMBOS)
+    rows = condition_table(truth)
+    assert len(fallbacks) == len(TABLE_COMBOS) * len(TABLE_ANGLES) == 28
     v = mesh200.num_vertices
-    T = assemble_transfer_matrix(truth, MeasurementSet.trig(alpha))
-    for row, (shape, upper, value) in zip(rows, fallbacks, strict=True):
-        assert shape == (v, v) and upper
-        stacked = np.vstack([_blocks(T)[j - 1] for j in row["indices"]])
-        with np.errstate(divide="ignore"):
-            assert row[alpha] == value == condition_number(stacked) == math.inf
+    calls = iter(fallbacks)  # angle by angle, each in the order of the rows
+    for alpha in TABLE_ANGLES:
+        T = assemble_transfer_matrix(truth, MeasurementSet.trig(alpha))
+        for row, (shape, upper, value) in zip(rows, calls):
+            assert shape == (v, v) and upper
+            stacked = np.vstack([_blocks(T)[j - 1] for j in row["indices"]])
+            with np.errstate(divide="ignore"):
+                assert row[alpha] == value == condition_number(stacked) == math.inf
+
+
+def _reference_grid(truth):
+    """The grid from a per-angle transfer matrix, folded explicitly."""
+    cond = illposed._factor_condition
+    grid = {}
+    for alpha in TABLE_ANGLES:
+        T = assemble_transfer_matrix(truth, MeasurementSet.trig(alpha))
+        r1, r2, r3 = (linalg.qr(blk, mode="r", check_finite=False)[0] for blk in _blocks(T))
+        r12 = illposed._stacked_factor(r1, r2)
+        stacks = {
+            (1, 2, 3): illposed._stacked_factor(r12, r3),
+            (1, 2): r12,
+            (2, 3): illposed._stacked_factor(r2, r3),
+            (1, 3): illposed._stacked_factor(r1, r3),
+            (1,): r1,
+            (2,): r2,
+            (3,): r3,
+        }
+        for combo, r in stacks.items():
+            grid[combo, alpha] = cond(r, None)
+    return grid
 
 
 def test_condition_table_factorizes_once_per_grid(mesh200, monkeypatch):
     # one factorization of K(sigma) and one K+ serve every angle, and the
     # grid equals, bit for bit, a per-angle assembly of the transfer matrix
     truth = phantom_field(default_phantom(), mesh200)
-    angles = (2.0 * math.pi, math.pi, 0.5 * math.pi)
-    reference = {}
-    for alpha in angles:
-        T = assemble_transfer_matrix(truth, MeasurementSet.trig(alpha))
-        factors = {
-            j: linalg.qr(blk, mode="r", check_finite=False)[0]
-            for j, blk in zip((1, 2, 3), _blocks(T), strict=True)
-        }
-        for combo, r in zip(TABLE_COMBOS, illposed._combination_factors(TABLE_COMBOS, factors)):
-            reference[combo, alpha] = illposed._factor_condition(r, None)
+    reference = _reference_grid(truth)
     init = ZeroMeanSolver.__init__
     builds = []
 
@@ -500,9 +501,48 @@ def test_condition_table_factorizes_once_per_grid(mesh200, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(ZeroMeanSolver, "__init__", counted)
-    rows = condition_table(truth, angles=angles)
+    rows = condition_table(truth)
     assert len(builds) == 1
     assert [row["indices"] for row in rows] == list(TABLE_COMBOS)
     for row in rows:
-        for alpha in angles:
+        for alpha in TABLE_ANGLES:
             assert row[alpha] == reference[row["indices"], alpha]
+
+
+def test_condition_table_releases_each_angles_triangles(mesh200, monkeypatch):
+    # each angle folds 3 QRs into its 7 entries with 4 tpqrt calls, and no
+    # triangle from linalg.qr or _stacked_factor outlives its angle
+    triangles = []
+    counts = {"qr": 0, "tpqrt": 0}
+    at_solve = []  # (triangles alive, counts since the previous solve)
+    qr, dtpqrt = illposed.linalg.qr, illposed.lapack.dtpqrt
+    stacked_factor, solve = illposed._stacked_factor, illposed.solve_measurement_set
+
+    def counted_qr(*args, **kwargs):
+        counts["qr"] += 1
+        result = qr(*args, **kwargs)
+        triangles.append(weakref.ref(result[0]))
+        return result
+
+    def counted_tpqrt(*args, **kwargs):
+        counts["tpqrt"] += 1
+        return dtpqrt(*args, **kwargs)
+
+    def tracked_stacked_factor(*args):
+        r = stacked_factor(*args)
+        triangles.append(weakref.ref(r))
+        return r
+
+    def checked_solve(*args, **kwargs):
+        at_solve.append((sum(ref() is not None for ref in triangles), dict(counts)))
+        counts.update(qr=0, tpqrt=0)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(illposed.linalg, "qr", counted_qr)
+    monkeypatch.setattr(illposed.lapack, "dtpqrt", counted_tpqrt)
+    monkeypatch.setattr(illposed, "_stacked_factor", tracked_stacked_factor)
+    monkeypatch.setattr(illposed, "solve_measurement_set", checked_solve)
+    condition_table(phantom_field(default_phantom(), mesh200))
+    per_angle = {"qr": 3, "tpqrt": 4}
+    assert at_solve == [(0, {"qr": 0, "tpqrt": 0})] + [(0, per_angle)] * (len(TABLE_ANGLES) - 1)
+    assert counts == per_angle and len(triangles) == 7 * len(TABLE_ANGLES)

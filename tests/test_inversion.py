@@ -237,6 +237,28 @@ def test_landweber_discrepancy_contract(mesh500, desk_problem):
     assert len(log.residuals) <= config.max_iter + 1
 
 
+def test_landweber_budget_of_exactly_the_discrepancy_index(desk_problem):
+    # the iterate k* that meets tau * delta stops by discrepancy even when
+    # the budget ends there; one step less ends by max_iter
+    ms, data, truth = desk_problem
+    noisy, delta = add_noise(data, 0.05, seed=9)
+    config = ReconstructionConfig(tau=1.0, delta_rel=0.05, max_iter=400)
+    sigma, log = run_landweber(config, noisy, delta, ms, truth)
+    k_star = log.num_iterations
+    assert log.stop_reason == "discrepancy" and k_star >= 2
+    config = ReconstructionConfig(tau=1.0, delta_rel=0.05, max_iter=k_star)
+    exact_sigma, exact = run_landweber(config, noisy, delta, ms, truth)
+    assert exact.stop_reason == "discrepancy"
+    assert np.array_equal(exact_sigma.values, sigma.values)
+    for field in ("residuals", "omegas", "rel_errors"):
+        assert np.array_equal(getattr(exact, field), getattr(log, field), equal_nan=True)
+    config = ReconstructionConfig(tau=1.0, delta_rel=0.05, max_iter=k_star - 1)
+    short_sigma, short = run_landweber(config, noisy, delta, ms, truth)
+    assert short.stop_reason == "max_iter" and short.num_iterations == k_star - 1
+    assert np.array_equal(short.residuals[:-1], log.residuals[: k_star - 1])
+    assert short.residuals[-1] > config.tau * delta
+
+
 def test_landweber_rejects_data_that_does_not_match_the_currents(mesh500, desk_problem):
     ms, data, _ = desk_problem
     config = ReconstructionConfig(max_iter=1)
