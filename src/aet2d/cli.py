@@ -178,9 +178,7 @@ _SETTINGS = {
     "seed": _Setting(_bounded(">=", 0, _int), "0", ("simulate",), "noise RNG seed"),
     "max_iter": _Setting(_bounded(">=", 1, _int), "1000", _RECON, "Landweber iteration limit"),
     "sigma0": _Setting(_float, "1.5", _RECON),
-    "sigma_floor": _Setting(
-        _bounded(">", 0, _float), "0.1", ("phantom", "simulate", "reconstruct")
-    ),
+    "sigma_floor": _Setting(_bounded(">", 0, _float), "0.1", _RECON),
     "safeguard": _Setting(_bool, "true", _RECON),
     "background": _Setting(_bounded(">", 0, _float), "1.0", _PHANTOM),
     "inclusions": _Setting(_inclusions, "default", _PHANTOM),
@@ -194,7 +192,7 @@ _SETTINGS = {
 # that file that reconstruct reads, with their parsers.
 _DATA_KEYS = ("mesh_vertices", "fine_vertices", "alpha", "family", "measurements", "noise", "seed")
 _DATA_INFO = {k: _SETTINGS[k].parse for k in ("mesh_vertices", "alpha", "family", "measurements")}
-_DATA_INFO["delta_abs"] = _float
+_DATA_INFO["delta_abs"] = _bounded(">=", 0, _float)
 
 
 def _parse(parse: Callable[[str], object], key: str, text: str, source: str, where: str = ""):
@@ -269,12 +267,8 @@ def cmd_phantom(settings: dict) -> int:
     mesh = generate_disk_mesh(settings["mesh_vertices"])
     spec = PhantomSpec(settings["background"], settings["inclusions"])
     field = phantom_field(spec, mesh)
-    floor = settings["sigma_floor"]
-    if field.values.min() < floor:
-        raise CliError(
-            f"phantom violates admissibility: min {field.values.min():.4g} < "
-            f"floor {floor}"
-        )
+    if not field.values.min() > 0.0:
+        raise CliError(f"phantom conductivity must be positive: min {field.values.min():.4g}")
     out = fileio.ensure_dir(settings["out"])
     fileio.write_field_csv(os.path.join(out, "phantom.csv"), field)
     fileio.write_field_vtk(os.path.join(out, "phantom.vtk"), field, name="conductivity")
@@ -295,7 +289,7 @@ def _fine_data(settings: dict, spec: PhantomSpec, ms: MeasurementSet, mesh):
     on return, before the caller adds noise or writes a file.
     """
     fine_mesh = generate_disk_mesh(settings["fine_vertices"])
-    data, fine_potentials = simulate_data(spec, ms, mesh, fine_mesh, settings["sigma_floor"])
+    data, fine_potentials = simulate_data(spec, ms, mesh, fine_mesh)
     det_min = float("nan")
     if len(ms) >= 2:
         _, det_min = determinant_diagnostic(fine_potentials)

@@ -2,8 +2,9 @@
 
 Conventions used throughout the package:
 
-* conductivity is piecewise linear in the vertices and enters element
-  integrals through its per-triangle vertex average;
+* conductivity is positive and piecewise linear in the vertices, and
+  enters element integrals through its per-triangle vertex average; any
+  lower bound above zero is the reconstruction's (``inversion``);
 * every global matrix (stiffness, weighted mass) is scattered from its
   (T, 3, 3) local blocks by ``Mesh.scatter`` over the mesh's cached
   ``assembly_plan``, so reassembly only recomputes the data array; the
@@ -41,9 +42,6 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .mesh import MASS_BASE, BoundaryArc, Mesh, accessible_boundary_edges, rowwise
-
-# Default admissibility floor for conductivities.
-DEFAULT_SIGMA_FLOOR = 0.1
 
 _GAUSS2 = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
 
@@ -136,27 +134,21 @@ def triangle_average_t(mesh: Mesh, tri_values: np.ndarray) -> np.ndarray:
     return rowwise(mesh.incidence_t, tri_values / 3.0)
 
 
-def assemble_stiffness(
-    mesh: Mesh,
-    sigma: NodalField,
-    sigma_floor: float = DEFAULT_SIGMA_FLOOR,
-) -> sparse.csr_matrix:
+def assemble_stiffness(mesh: Mesh, sigma: NodalField) -> sparse.csr_matrix:
     """Stiffness matrix K(sigma)_ij = sum_T sigma_T int_T grad(phi_i).grad(phi_j).
 
-    The conductivity must stay at or above ``sigma_floor`` everywhere;
-    K is symmetric positive semidefinite with the constants as kernel.
+    The conductivity must be positive everywhere, so that K is symmetric
+    positive semidefinite with the constants as kernel.
     """
     smin = float(np.min(sigma.values))
-    if smin < sigma_floor:
-        raise ValueError(
-            f"conductivity below admissibility floor: min {smin} < {sigma_floor}"
-        )
+    if not smin > 0.0:
+        raise ValueError(f"conductivity must be positive: min {smin}")
     sig_t = triangle_average(mesh, sigma.values)
     return mesh.scatter(sig_t[:, None, None] * mesh.local_stiffness)
 
 
 def unit_stiffness(mesh: Mesh) -> sparse.csr_matrix:
-    """Stiffness matrix for unit conductivity (no admissibility check)."""
+    """Stiffness matrix for unit conductivity (no positivity check)."""
     return mesh.scatter(mesh.local_stiffness)
 
 

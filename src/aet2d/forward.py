@@ -4,7 +4,9 @@ The forward map takes a conductivity to the stack of interior power
 densities, one per applied boundary current. Per-triangle quantities
 (P1 gradients are piecewise constant) are projected to vertex fields by
 area-weighted averaging over the incident triangles, so the data space
-shares the nodal basis of the domain space.
+shares the nodal basis of the domain space. The map is defined for every
+conductivity that is positive everywhere; the lower bound that the
+reconstruction keeps is Landweber's (``inversion``).
 
 The maps between vertex and triangle values (gradients, the projection
 and its transpose) are products with the mesh's cached fixed-pattern
@@ -36,7 +38,7 @@ from .phantom import PhantomSpec, phantom_field
 
 FAMILIES = ("trig", "special")
 
-# Per data mesh: (fine conductivity values, sigma_floor, solver) of the last
+# Per data mesh: (fine conductivity values, solver) of the last
 # ``simulate_data`` call on it. The solver holds no reference to the mesh.
 _FINE_SOLVERS = weakref.WeakKeyDictionary()
 
@@ -173,7 +175,6 @@ def measurement_loads(mesh: Mesh, ms: MeasurementSet) -> np.ndarray:
 def solve_measurement_set(
     sigma: NodalField,
     ms: MeasurementSet,
-    sigma_floor: float = fem.DEFAULT_SIGMA_FLOOR,
     loads: np.ndarray | None = None,
     solver: ZeroMeanSolver | None = None,
 ) -> ForwardState:
@@ -183,13 +184,13 @@ def solve_measurement_set(
     loads are solved as a single multi-RHS back-substitution. Callers
     looping over conductivities can precompute ``loads`` once, and callers
     solving several sets at one conductivity can pass its ``solver``
-    once built (``sigma_floor`` is then unused). The power density of
-    measurement j is sigma |grad u_j|^2 per triangle, projected to the
-    vertices.
+    once built. The conductivity must be positive (``assemble_stiffness``).
+    The power density of measurement j is sigma |grad u_j|^2 per
+    triangle, projected to the vertices.
     """
     mesh = sigma.mesh
     if solver is None:
-        solver = ZeroMeanSolver(assemble_stiffness(mesh, sigma, sigma_floor), mesh)
+        solver = ZeroMeanSolver(assemble_stiffness(mesh, sigma), mesh)
     if loads is None:
         loads = measurement_loads(mesh, ms)
     potentials = solver.solve(loads).T
@@ -223,9 +224,7 @@ def determinant_diagnostic(potentials: NodalField):
     return det, float(np.min(np.abs(det)))
 
 
-def _kept_fine_solver(
-    fine_mesh: Mesh, sigma_values: np.ndarray, sigma_floor: float
-) -> ZeroMeanSolver | None:
+def _kept_fine_solver(fine_mesh: Mesh, sigma_values: np.ndarray) -> ZeroMeanSolver | None:
     """Take the kept solver of ``fine_mesh`` if it factorized this conductivity.
 
     The record is removed either way, so a solver that does not match is
@@ -234,19 +233,13 @@ def _kept_fine_solver(
     kept = _FINE_SOLVERS.pop(fine_mesh, None)
     if kept is None:
         return None
-    values, floor, solver = kept
-    if floor == sigma_floor and np.array_equal(values, sigma_values):
+    values, solver = kept
+    if np.array_equal(values, sigma_values):
         return solver
     return None
 
 
-def simulate_data(
-    spec: PhantomSpec,
-    ms: MeasurementSet,
-    recon_mesh: Mesh,
-    fine_mesh: Mesh,
-    sigma_floor: float = fem.DEFAULT_SIGMA_FLOOR,
-):
+def simulate_data(spec: PhantomSpec, ms: MeasurementSet, recon_mesh: Mesh, fine_mesh: Mesh):
     """Synthesize power-density data on ``fine_mesh`` and transfer it to ``recon_mesh``.
 
     Generating the data on a mesh with many more vertices than the
@@ -255,11 +248,11 @@ def simulate_data(
 
     The factorized solver of K(sigma) on ``fine_mesh`` is kept for as
     long as that mesh lives. A later call on the same mesh whose fine
-    conductivity is equal, value for value, with an equal
-    ``sigma_floor`` reuses it, so data for several arcs of one phantom
-    cost one factorization and are bit-identical to data made on a
-    fresh mesh. Any other call releases the kept solver before it
-    factorizes, so a data mesh holds at most one factorization.
+    conductivity is equal, value for value, reuses it, so data for
+    several arcs of one phantom cost one factorization and are
+    bit-identical to data made on a fresh mesh. Any other call releases
+    the kept solver before it factorizes, so a data mesh holds at most
+    one factorization. The phantom must be positive everywhere.
 
     Returns
     -------
@@ -272,8 +265,8 @@ def simulate_data(
         while a caller keeps it.
     """
     sigma_fine = phantom_field(spec, fine_mesh)
-    solver = _kept_fine_solver(fine_mesh, sigma_fine.values, sigma_floor)
-    state = solve_measurement_set(sigma_fine, ms, sigma_floor, solver=solver)
-    _FINE_SOLVERS[fine_mesh] = (sigma_fine.values, sigma_floor, state.solver)
+    solver = _kept_fine_solver(fine_mesh, sigma_fine.values)
+    state = solve_measurement_set(sigma_fine, ms, solver=solver)
+    _FINE_SOLVERS[fine_mesh] = (sigma_fine.values, state.solver)
     values = interpolate(fine_mesh, state.power_densities.values.T, recon_mesh.vertices)
     return NodalField(recon_mesh, values.T), state.potentials

@@ -4,19 +4,22 @@ The iteration updates the conductivity along the adjoint-preconditioned
 residual with the steepest-descent stepsize |s|^2 / |dF s|^2 (domain norm
 over data norm), stops by the discrepancy principle when a noise level is
 known, and keeps iterates admissible by clamping at the conductivity
-floor. A safeguard halves the stepsize, at most ``MAX_HALVINGS`` times,
-when a step would increase the residual; it can be disabled to recover
-the plain method.
+floor. The admissible set sigma >= sigma_floor is this iteration's
+constraint and this module owns it; the forward model only asks for
+sigma > 0. A safeguard halves the stepsize, at most ``MAX_HALVINGS``
+times, when a step would increase the residual; it can be disabled to
+recover the plain method.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .fem import DEFAULT_SIGMA_FLOOR, GramSolver, InnerProductSpec, NodalField, norm_sq
+from .fem import GramSolver, InnerProductSpec, NodalField, norm_sq
 from .forward import ForwardState, MeasurementSet, measurement_loads, solve_measurement_set
 from .sensitivity import adjoint_apply, derivative_apply
 
@@ -24,6 +27,9 @@ STOP_REASONS = ("discrepancy", "max_iter", "zero_gradient", "stagnation")
 
 # Most stepsize halvings the safeguard tries before it stops the run.
 MAX_HALVINGS = 20
+
+# Default admissibility floor for conductivities.
+DEFAULT_SIGMA_FLOOR = 0.1
 
 
 @dataclass(frozen=True)
@@ -45,6 +51,8 @@ class ReconstructionConfig:
             raise ValueError("delta_rel must be >= 0")
         if not self.sigma_floor > 0.0:
             raise ValueError("sigma_floor must be positive")
+        if not self.sigma0 >= self.sigma_floor:
+            raise ValueError("sigma0 must be >= sigma_floor")
         if not self.max_iter >= 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -166,11 +174,14 @@ def run_landweber(
     (skipped when delta_abs == 0: noise-free runs are governed by
     ``max_iter``), the iteration budget is exhausted, the gradient
     vanishes, or the safeguard cannot find a non-increasing step.
+    ``delta_abs`` must be finite and >= 0.
 
     ``noisy_data`` is the (M, V) stack of measured power densities, one
     row per current of ``ms``. Returns the final conductivity and the
     iteration log.
     """
+    if not (math.isfinite(delta_abs) and delta_abs >= 0.0):
+        raise ValueError(f"delta_abs must be finite and >= 0, got {delta_abs!r}")
     mesh = noisy_data.mesh
     if noisy_data.values.shape != (len(ms), mesh.num_vertices):
         raise ValueError(
@@ -181,7 +192,7 @@ def run_landweber(
     loads = measurement_loads(mesh, ms)
 
     def evaluate(sigma: NodalField) -> _Iterate:
-        state = solve_measurement_set(sigma, ms, config.sigma_floor, loads=loads)
+        state = solve_measurement_set(sigma, ms, loads=loads)
         residual = NodalField(mesh, noisy_data.values - state.power_densities.values)
         return _Iterate(state, residual, float(np.sqrt(norm_sq(mesh, residual.values))))
 

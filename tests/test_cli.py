@@ -49,13 +49,34 @@ def test_phantom_command_default(tmp_path, capsys):
     assert "plateaus [1.3, 1.7, 2.0]" in capsys.readouterr().out
 
 
-def test_phantom_rejects_inadmissible_background(tmp_path, capsys):
+_PHANTOM_COMMANDS = ("phantom", "simulate", "svd", "condition-table")
+
+
+def test_a_non_positive_phantom_fails_every_command(tmp_path, capsys):
     cfg = tmp_path / "cfg.ini"
-    cfg.write_text("[phantom]\nbackground = 0.05\ninclusions =\nmesh_vertices = 200\n")
-    code = run_cli("phantom", "--config", cfg, "--out", tmp_path / "o")
-    assert code == 2
-    assert "error: phantom violates admissibility" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
+    cfg.write_text(
+        "[common]\nmesh_vertices = 100\nfine_vertices = 400\ninclusions = disc 0 0 0.4 -0.5 0.1\n"
+    )
+    for command in _PHANTOM_COMMANDS:
+        assert run_cli(command, "--config", cfg, "--out", tmp_path / "o") == 2
+        assert "conductivity must be positive: min -0.5" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+def test_a_low_positive_phantom_passes_every_command(tmp_path, capsys):
+    # the conductivity floor is Landweber's: no command that only models a
+    # phantom reads it, so a background below the default floor 0.1 works
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(
+        "[common]\nmesh_vertices = 60\nfine_vertices = 400\nbackground = 0.05\ninclusions =\n"
+    )
+    for command in _PHANTOM_COMMANDS:
+        assert run_cli(command, "--config", cfg, "--out", tmp_path / command) == 0
+    for section in ("phantom", "simulate"):
+        cfg.write_text(f"[{section}]\nsigma_floor = 0.01\n")
+        assert run_cli(section, "--config", cfg, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert f"error: {cfg}, section [{section}]: {section} does not read 'sigma_floor'" in err
 
 
 def test_phantom_accepts_low_background_above_floor(tmp_path):
@@ -462,6 +483,20 @@ def test_reconstruct_names_a_bad_data_info_value(sim_dir, tmp_path, capsys):
     code = run_cli("reconstruct", "--data", data, "--out", tmp_path / "r", "--max-iter", 1)
     assert code == 2
     assert f"error: {info}: delta_abs = '0.01x' is not a number" in capsys.readouterr().err
+
+
+def test_reconstruct_rejects_a_negative_delta_abs(sim_dir, tmp_path, capsys):
+    # a negative noise level would silently turn the discrepancy stop off
+    data = _copy_data(sim_dir, tmp_path / "data")
+    info = data / "data_info.txt"
+    lines = info.read_text().splitlines(keepends=True)
+    info.write_text(
+        "".join("delta_abs = -1\n" if ln.startswith("delta_abs") else ln for ln in lines)
+    )
+    code = run_cli("reconstruct", "--data", data, "--out", tmp_path / "r", "--max-iter", 1)
+    assert code == 2
+    assert f"error: {info}: delta_abs = '-1' must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 def test_reconstruct_rejects_a_misspelt_boolean(sim_dir, tmp_path, capsys):

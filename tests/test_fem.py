@@ -124,10 +124,15 @@ def test_assembly_plan_is_int32_and_read_only(mesh500):
 
 
 def test_stiffness_rejects_inadmissible(mesh500):
-    bad = np.ones(mesh500.num_vertices)
-    bad[7] = 0.05
-    with pytest.raises(ValueError, match="admissibility"):
-        assemble_stiffness(mesh500, NodalField(mesh500, bad))
+    # any positive conductivity is admissible here: the floor is Landweber's
+    low = np.ones(mesh500.num_vertices)
+    low[7] = 0.05
+    assemble_stiffness(mesh500, NodalField(mesh500, low))
+    for value in (0.0, -0.5):
+        bad = np.ones(mesh500.num_vertices)
+        bad[7] = value
+        with pytest.raises(ValueError, match="positive"):
+            assemble_stiffness(mesh500, NodalField(mesh500, bad))
 
 
 def test_mass_partition_of_unity(mesh500):

@@ -2,18 +2,13 @@ import gc
 import math
 import warnings
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from aet2d import forward
-from aet2d.fem import (
-    DEFAULT_SIGMA_FLOOR,
-    CompatibilityWarning,
-    NodalField,
-    assemble_boundary_load,
-    norm_sq,
-)
+from aet2d.fem import CompatibilityWarning, NodalField, assemble_boundary_load, norm_sq
 from aet2d.forward import (
     MeasurementSet,
     determinant_diagnostic,
@@ -221,9 +216,9 @@ def _recorded_solvers(monkeypatch):
     return solvers, alive_at_init
 
 
-def _fresh_mesh_data(spec, ms, recon, sigma_floor=DEFAULT_SIGMA_FLOOR):
+def _fresh_mesh_data(spec, ms, recon):
     """``simulate_data`` on a data mesh of its own, with no kept solver."""
-    return simulate_data(spec, ms, recon, generate_disk_mesh(3000), sigma_floor)
+    return simulate_data(spec, ms, recon, generate_disk_mesh(3000))
 
 
 def test_simulate_data_keeps_one_fine_solver_and_no_forward_state(
@@ -246,7 +241,7 @@ def test_simulate_data_keeps_one_fine_solver_and_no_forward_state(
     gc.collect()
     assert len(solvers) == 1 and len(states) == 1
     assert states[0]() is None
-    assert solvers[0]() is forward._FINE_SOLVERS[fine3000][2]
+    assert solvers[0]() is forward._FINE_SOLVERS[fine3000][1]
     forward._FINE_SOLVERS.clear()
     gc.collect()
     assert solvers[0]() is None
@@ -266,27 +261,22 @@ def test_simulate_data_factorizes_a_data_mesh_once_for_every_arc(mesh200, monkey
     assert len(solvers) == 1
 
 
-def test_simulate_data_refactorizes_for_another_conductivity_or_floor(mesh200, monkeypatch):
+def test_simulate_data_refactorizes_for_another_conductivity(mesh200, monkeypatch):
     spec = default_phantom()
     other = PhantomSpec(1.2, spec.inclusions[:1])
     ms = MeasurementSet.trig(math.pi)
-    expected = [
-        _fresh_mesh_data(spec, ms, mesh200),
-        _fresh_mesh_data(other, ms, mesh200),
-        _fresh_mesh_data(other, ms, mesh200, sigma_floor=0.05),
-    ]
+    expected = [_fresh_mesh_data(phantom, ms, mesh200) for phantom in (spec, other)]
     solvers, alive_at_init = _recorded_solvers(monkeypatch)
     fine = generate_disk_mesh(3000)
-    runs = [(spec, DEFAULT_SIGMA_FLOOR), (other, DEFAULT_SIGMA_FLOOR), (other, 0.05)]
-    for (phantom, floor), (data, potentials) in zip(runs, expected):
-        got_data, got_potentials = simulate_data(phantom, ms, mesh200, fine, floor)
+    for phantom, (data, potentials) in zip((spec, other), expected):
+        got_data, got_potentials = simulate_data(phantom, ms, mesh200, fine)
         assert np.array_equal(got_data.values, data.values)
         assert np.array_equal(got_potentials.values, potentials.values)
-    # each solver was released before the next one factorized
-    assert alive_at_init == [[], [False], [False, False]]
-    second = simulate_data(other, ms, mesh200, fine, 0.05)[0]
-    assert len(solvers) == 3
-    assert np.array_equal(second.values, expected[2][0].values)
+    # the first solver was released before the second one factorized
+    assert alive_at_init == [[], [False]]
+    second = simulate_data(other, ms, mesh200, fine)[0]
+    assert len(solvers) == 2
+    assert np.array_equal(second.values, expected[1][0].values)
 
 
 def test_simulate_data_releases_the_kept_solver_with_its_mesh(mesh200, monkeypatch):
@@ -300,14 +290,15 @@ def test_simulate_data_releases_the_kept_solver_with_its_mesh(mesh200, monkeypat
     assert solvers[0]() is None
 
 
-def test_simulate_data_checks_the_floor_after_a_reusable_call(mesh200):
+def test_simulate_data_rejects_a_non_positive_phantom_after_a_reusable_call(mesh200):
     spec = default_phantom()
     ms = MeasurementSet.trig(math.pi)
     fine = generate_disk_mesh(3000)
     simulate_data(spec, ms, mesh200, fine)
     simulate_data(spec, MeasurementSet.trig(0.5 * math.pi), mesh200, fine)
-    with pytest.raises(ValueError, match="admissibility floor"):
-        simulate_data(spec, ms, mesh200, fine, sigma_floor=1.5)
+    negative = PhantomSpec(1.0, (replace(spec.inclusions[0], plateau=-0.5),))
+    with pytest.raises(ValueError, match="conductivity must be positive"):
+        simulate_data(negative, ms, mesh200, fine)
 
 
 def test_simulate_data_deterministic(mesh200, fine3000):

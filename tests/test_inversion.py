@@ -276,10 +276,38 @@ def test_config_validation():
         ReconstructionConfig(sigma_floor=0.0)
     with pytest.raises(ValueError):
         ReconstructionConfig(delta_rel=-0.1)
+    # the start must be admissible; one on the floor is
+    for sigma0, floor in ((0.05, 0.1), (1.0, 1.2)):
+        with pytest.raises(ValueError, match="sigma0 must be >= sigma_floor"):
+            ReconstructionConfig(sigma0=sigma0, sigma_floor=floor)
+    assert ReconstructionConfig(sigma0=0.1).sigma0 == 0.1
     # NaN fails every range check
-    for key in ("tau", "delta_rel", "sigma_floor", "max_iter"):
+    for key in ("tau", "delta_rel", "sigma0", "sigma_floor", "max_iter"):
         with pytest.raises(ValueError):
             ReconstructionConfig(**{key: float("nan")})
+
+
+@pytest.mark.parametrize("delta_abs", [-1.0, float("nan"), float("inf")])
+def test_landweber_rejects_a_negative_or_non_finite_delta_abs(mesh200, delta_abs):
+    # a negative or NaN level would skip the discrepancy test and end the run by max_iter
+    ms = MeasurementSet.trig(math.pi)
+    data = NodalField(mesh200, np.ones((len(ms), mesh200.num_vertices)))
+    with pytest.raises(ValueError, match="delta_abs must be finite and >= 0"):
+        run_landweber(ReconstructionConfig(max_iter=2), data, delta_abs, ms)
+
+
+def test_the_clamp_keeps_iterates_on_or_above_the_floor(mesh200):
+    # The floor 1.2 lies above the background 1.0 of the truth (178 of the
+    # 198 vertices). Only the clamp of the descent step keeps the iterates
+    # admissible: the forward solve accepts any positive conductivity.
+    truth = phantom_field(default_phantom(), mesh200)
+    ms = MeasurementSet.trig(2.0 * math.pi)
+    data = solve_measurement_set(truth, ms).power_densities
+    config = ReconstructionConfig(sigma_floor=1.2, max_iter=5)
+    sigma, log = run_landweber(config, data, 0.0, ms, truth)
+    assert log.num_iterations == 5
+    assert np.all(sigma.values >= 1.2)
+    assert np.any(sigma.values == 1.2)
 
 
 def test_iteration_log_validation():
