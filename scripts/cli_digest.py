@@ -23,12 +23,14 @@ phantom would change it. One ``library/svd_pi`` line hashes the
 spectrum, the exported right singular vectors and the condition number
 of ``svd_analyze`` with vectors (1, 100) on the condition-grid bench's
 shape (three measurements, alpha = pi), at the library mesh size.
-Last come ``<sha256>  mesh/<n>/<array>`` lines for the four arrays of
+Then come ``<sha256>  mesh/<n>/<array>`` lines for the four arrays of
 ``generate_disk_mesh(n)`` at the bench's mesh sizes, the 40000-vertex
-data mesh included, each hashed with its dtype and shape. Every input is
-fixed, so a change that keeps every mesh, written file and iterate
-bit-identical leaves the output unchanged: run the script at two commits
-and diff the outputs.
+data mesh included, each hashed with its dtype and shape. The last line,
+``bench_data/pi``, hashes the data that ``simulate_data`` transfers at
+the bench's own sizes: the default phantom on 2000 vertices from 40000,
+trig currents at alpha = pi. Every input is fixed, so a change that
+keeps every mesh, written file and iterate bit-identical leaves the
+output unchanged: run the script at two commits and diff the outputs.
 
     PYTHONPATH=src python scripts/cli_digest.py > digests.txt
 """
@@ -96,6 +98,8 @@ LIBRARY_SVD_VECTORS = (1, 100)
 
 # Mesh sizes of the bench workloads: grid, reconstruction and data meshes.
 MESH_SIZES = (1000, 2000, 40000)
+# Reconstruction and data mesh sizes of the bench's landweber_sweep.
+BENCH_DATA_SIZES = (2000, 40000)
 MESH_ARRAYS = ("vertices", "triangles", "boundary_edges", "boundary_edge_angles")
 
 
@@ -154,6 +158,14 @@ def mesh_digests():
     return out
 
 
+def bench_data_digest():
+    """(label, sha256) of the bench-size data for the default phantom at alpha = pi."""
+    mesh, fine = (aet2d.generate_disk_mesh(n) for n in BENCH_DATA_SIZES)
+    ms = aet2d.MeasurementSet.trig(math.pi)
+    data, _ = aet2d.simulate_data(aet2d.default_phantom(), ms, mesh, fine_mesh=fine)
+    return [("bench_data/pi", _sha(data.values))]
+
+
 def digests(root):
     """(relative path, sha256) of every file under root, in path order."""
     out = []
@@ -184,7 +196,7 @@ def run() -> int:
                 print(f"{digest}  {path}")
         finally:
             os.chdir(cwd)
-    for label, digest in library_digests() + mesh_digests():
+    for label, digest in library_digests() + mesh_digests() + bench_data_digest():
         print(f"{digest}  {label}")
     return 0
 

@@ -8,6 +8,7 @@ output.
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -40,8 +41,9 @@ def read_field_csv(path, mesh: Mesh) -> NodalField:
 
     The file must have one row per mesh vertex, in vertex order, and each
     row's x,y must equal that vertex's coordinates exactly (``repr``
-    floats round-trip). A malformed row, a coordinate mismatch or a wrong
-    row count raises ``ValueError`` naming the file and line.
+    floats round-trip). A malformed row, a non-finite value, a coordinate
+    mismatch or a wrong row count raises ``ValueError`` naming the file
+    and line.
     """
     n = mesh.num_vertices
     vertices = mesh.vertices.tolist()
@@ -60,6 +62,8 @@ def read_field_csv(path, mesh: Mesh) -> NodalField:
                 raise ValueError(
                     f"{path}, line {lineno}: malformed row {line.rstrip()!r}"
                 ) from None
+            if not math.isfinite(v):
+                raise ValueError(f"{path}, line {lineno}: non-finite value {v!r}")
             vx, vy = vertices[row]
             if x != vx or y != vy:
                 raise ValueError(

@@ -243,8 +243,9 @@ def simulate_data(spec: PhantomSpec, ms: MeasurementSet, recon_mesh: Mesh, fine_
     """Synthesize power-density data on ``fine_mesh`` and transfer it to ``recon_mesh``.
 
     Generating the data on a mesh with many more vertices than the
-    reconstruction mesh and interpolating back avoids the inverse crime
-    of inverting the same discretization that produced the data.
+    reconstruction mesh and interpolating the stack at the reconstruction
+    vertices avoids the inverse crime of inverting the same
+    discretization that produced the data.
 
     The factorized solver of K(sigma) on ``fine_mesh`` is kept for as
     long as that mesh lives. A later call on the same mesh whose fine
@@ -268,5 +269,5 @@ def simulate_data(spec: PhantomSpec, ms: MeasurementSet, recon_mesh: Mesh, fine_
     solver = _kept_fine_solver(fine_mesh, sigma_fine.values)
     state = solve_measurement_set(sigma_fine, ms, solver=solver)
     _FINE_SOLVERS[fine_mesh] = (sigma_fine.values, state.solver)
-    values = interpolate(fine_mesh, state.power_densities.values.T, recon_mesh.vertices)
-    return NodalField(recon_mesh, values.T), state.potentials
+    data = interpolate(fine_mesh, state.power_densities.values, recon_mesh.vertices)
+    return NodalField(recon_mesh, data), state.potentials

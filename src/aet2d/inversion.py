@@ -177,8 +177,8 @@ def run_landweber(
     ``delta_abs`` must be finite and >= 0.
 
     ``noisy_data`` is the (M, V) stack of measured power densities, one
-    row per current of ``ms``. Returns the final conductivity and the
-    iteration log.
+    row per current of ``ms``; ``truth``, if given, is one (V,) field on
+    the same mesh. Returns the final conductivity and the iteration log.
     """
     if not (math.isfinite(delta_abs) and delta_abs >= 0.0):
         raise ValueError(f"delta_abs must be finite and >= 0, got {delta_abs!r}")
@@ -187,6 +187,10 @@ def run_landweber(
         raise ValueError(
             f"expected a data stack of shape {(len(ms), mesh.num_vertices)}, "
             f"got {noisy_data.values.shape}"
+        )
+    if truth is not None and truth.values.shape != (mesh.num_vertices,):
+        raise ValueError(
+            f"expected a truth field of shape {(mesh.num_vertices,)}, got {truth.values.shape}"
         )
     gram = GramSolver(mesh, config.spec)
     loads = measurement_loads(mesh, ms)

@@ -414,34 +414,31 @@ def accessible_boundary_edges(mesh: Mesh, arc: BoundaryArc) -> np.ndarray:
 
 
 def locate_points(mesh: Mesh, points: np.ndarray):
-    """Find containing triangles and barycentric coordinates for points.
+    """Find the containing triangle and barycentric coordinates of each point.
 
-    Uses a KD-tree over triangle centroids and checks nearby candidates;
-    points marginally outside the mesh polygon (circle points between
-    boundary vertices of a coarser polygon) are nudged toward the origin
-    before falling back to the nearest vertex.
+    Every point of the closed unit disk is located. Candidates come from
+    a KD-tree over the triangle centroids. A point between the circle and
+    a boundary chord of length L lies outside the mesh polygon, by at
+    most the sagitta 1 - sqrt(1 - L^2/4) <= L^2/4, so a missed point is
+    shrunk toward the origin by L^2/4 of the longest chord and tried
+    again. A point that no triangle holds even then raises ``ValueError``
+    naming how many points missed and the first of them.
 
     Returns
     -------
     tri_idx : (N,) int array
-        Containing triangle per point, -1 where the nearest-vertex
-        fallback was used.
+        Containing triangle per point.
     bary : (N, 3) float array
-        Barycentric coordinates; rows of tri_idx == -1 are zeros.
-    nearest_vertex : (N,) int array
-        Nearest mesh vertex where tri_idx == -1 (the fallback), -1 for
-        contained points.
+        Barycentric coordinates in that triangle.
     """
     from scipy.spatial import cKDTree
 
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    centroids = mesh.vertices[mesh.triangles].mean(axis=1)
-    tree = cKDTree(centroids)
+    p = mesh.vertices[mesh.triangles]
+    tree = cKDTree(p.mean(axis=1))
     n = points.shape[0]
     tri_idx = np.full(n, -1, dtype=np.int64)
     bary = np.zeros((n, 3))
-
-    p = mesh.vertices[mesh.triangles]
     d1 = p[:, 1] - p[:, 0]
     d2 = p[:, 2] - p[:, 0]
     det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
@@ -462,53 +459,36 @@ def locate_points(mesh: Mesh, points: np.ndarray):
             ok = (l0 >= -tol) & (l1 >= -tol) & (l2 >= -tol)
             hit = act[ok]
             tri_idx[rows[hit]] = t[ok]
-            bary[rows[hit], 0] = l0[ok]
-            bary[rows[hit], 1] = l1[ok]
-            bary[rows[hit], 2] = l2[ok]
+            bary[rows[hit]] = np.column_stack([l0[ok], l1[ok], l2[ok]])
             remaining[act[ok]] = False
 
-    all_rows = np.arange(n)
-    try_assign(points, all_rows, k=min(8, mesh.num_triangles), tol=1e-12)
+    try_assign(points, np.arange(n), k=min(8, mesh.num_triangles), tol=1e-12)
     miss = np.flatnonzero(tri_idx < 0)
     if miss.size:
-        # Pull marginally exterior points inside the mesh polygon. Points on
-        # the unit circle sit outside the boundary chords by up to the chord
-        # sagitta L^2/8, so shrink by twice that.
-        if mesh.boundary_edges.size:
-            chords = (
-                mesh.vertices[mesh.boundary_edges[:, 1]]
-                - mesh.vertices[mesh.boundary_edges[:, 0]]
-            )
-            shrink = float(np.max(np.einsum("bd,bd->b", chords, chords))) / 4.0
-        else:
-            shrink = 1e-9
-        nudged = points[miss] * (1.0 - shrink)
-        try_assign(nudged, miss, k=min(32, mesh.num_triangles), tol=1e-9)
-
-    nearest_vertex = np.full(n, -1, dtype=np.int64)
-    miss = np.flatnonzero(tri_idx < 0)
+        ends = mesh.vertices[mesh.boundary_edges]
+        chords = ends[:, 1] - ends[:, 0]
+        shrink = float(np.max(np.einsum("bd,bd->b", chords, chords))) / 4.0
+        try_assign(points[miss] * (1.0 - shrink), miss, k=min(32, mesh.num_triangles), tol=1e-9)
+        miss = np.flatnonzero(tri_idx < 0)
     if miss.size:
-        _, nearest_vertex[miss] = cKDTree(mesh.vertices).query(points[miss])
-    return tri_idx, bary, nearest_vertex
+        x, y = points[miss[0]].tolist()
+        raise ValueError(
+            f"{miss.size} of {n} points lie outside the unit disk, the first at ({x!r}, {y!r})"
+        )
+    return tri_idx, bary
 
 
 def interpolate(mesh: Mesh, values: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Evaluate P1 nodal fields at arbitrary points (barycentric).
+    """Evaluate P1 nodal fields at points of the closed unit disk (barycentric).
 
-    ``values`` is one field (V,) or a stack of fields (V, k); the result
-    is (N,) or (N, k). The points are located once for the whole stack,
-    and each column is evaluated exactly as a single field would be.
+    ``values`` is one field (V,) or an (M, V) stack of fields, one per
+    row; the result is (N,) or (M, N). The points are located once, and
+    each row is evaluated exactly as a single field would be. A point
+    outside the disk raises ``ValueError`` (``locate_points``).
     """
     values = np.asarray(values)
-    tri_idx, bary, nearest = locate_points(mesh, points)
-    inside = tri_idx >= 0
-    corner = mesh.triangles[tri_idx[inside]]
-    bary_in = bary[inside]
-    outside_vertex = nearest[~inside]
-    stack = values.reshape(values.shape[0], -1)
-    out = np.empty((tri_idx.shape[0], stack.shape[1]))
-    for col in range(stack.shape[1]):
-        field = stack[:, col]
-        out[inside, col] = np.einsum("nc,nc->n", field[corner], bary_in)
-        out[~inside, col] = field[outside_vertex]
-    return out.reshape(tri_idx.shape + values.shape[1:])
+    tri_idx, bary = locate_points(mesh, points)
+    corner = mesh.triangles[tri_idx]
+    rows = values.reshape(-1, values.shape[-1])
+    out = np.array([np.einsum("nc,nc->n", row[corner], bary) for row in rows])
+    return out.reshape(values.shape[:-1] + tri_idx.shape)

@@ -499,6 +499,21 @@ def test_reconstruct_rejects_a_negative_delta_abs(sim_dir, tmp_path, capsys):
     assert not (tmp_path / "r").exists()
 
 
+def test_reconstruct_names_the_field_file_of_a_non_finite_value(sim_dir, tmp_path, capsys):
+    data = _copy_data(sim_dir, tmp_path / "data")
+    for name in ("truth.csv", "E_noisy_02.csv"):
+        path = data / name
+        saved = path.read_text()
+        lines = saved.splitlines(keepends=True)
+        x, y, _ = lines[4].split(",")
+        path.write_text("".join(lines[:4] + [f"{x},{y},nan\n"] + lines[5:]))
+        code = run_cli("reconstruct", "--data", data, "--out", tmp_path / "r", "--max-iter", 1)
+        assert code == 2
+        assert f"error: {path}, line 5: non-finite value nan" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+        path.write_text(saved)
+
+
 def test_reconstruct_rejects_a_misspelt_boolean(sim_dir, tmp_path, capsys):
     cfg = tmp_path / "bool.ini"
     cfg.write_text("[reconstruct]\nsafeguard = ture\n")

@@ -63,6 +63,17 @@ def test_field_csv_non_numeric_cell(mesh200, tmp_path):
         fileio.read_field_csv(path, mesh200)
 
 
+def test_field_csv_non_finite_value(mesh200, tmp_path):
+    # NodalField would reject it too, but without naming the file
+    path = tmp_path / "field.csv"
+    lines = _write_field(path, mesh200)
+    x, y, _ = lines[7].split(",")
+    for value in ("nan", "inf", "-inf"):
+        path.write_text("".join(lines[:7] + [f"{x},{y},{value}\n"] + lines[8:]))
+        with pytest.raises(ValueError, match=rf"field\.csv, line 8: non-finite value {value}$"):
+            fileio.read_field_csv(path, mesh200)
+
+
 def test_mesh_roundtrip(tmp_path):
     mesh = generate_disk_mesh(150)
     path = tmp_path / "mesh.txt"

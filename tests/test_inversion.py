@@ -267,6 +267,17 @@ def test_landweber_rejects_data_that_does_not_match_the_currents(mesh500, desk_p
             run_landweber(config, NodalField(mesh500, values), 0.0, ms)
 
 
+def test_landweber_rejects_a_truth_that_is_not_one_field_of_the_mesh(mesh200, mesh500):
+    # a stack would give a rel_errors column that mixes its rows, and a field of
+    # another mesh would fail only after the first forward solve
+    ms = MeasurementSet.trig(math.pi)
+    data = NodalField(mesh200, np.ones((len(ms), mesh200.num_vertices)))
+    stack = NodalField(mesh200, np.ones((2, mesh200.num_vertices)))
+    for truth in (stack, NodalField.constant(mesh500, 1.0)):
+        with pytest.raises(ValueError, match="expected a truth field of shape"):
+            run_landweber(ReconstructionConfig(max_iter=2), data, 0.0, ms, truth)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ReconstructionConfig(tau=0.5)

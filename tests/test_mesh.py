@@ -128,27 +128,64 @@ def test_interpolate_circle_points(mesh2000):
     assert np.max(np.abs(interpolate(mesh2000, values, pts) - exact)) <= 5e-3
 
 
-def test_interpolate_stack_equals_columns(mesh2000, mesh500, rng):
-    # circle points of the coarse mesh take the nudged path, far points the
-    # nearest-vertex fallback
-    values = rng.standard_normal((mesh2000.num_vertices, 3))
-    pts = np.vstack([mesh500.vertices, [[1.5, 0.0], [0.0, -2.0]]])
-    tri_idx, bary, nearest = locate_points(mesh2000, pts)
-    miss = np.flatnonzero(tri_idx < 0)
-    assert miss.size
-    assert np.all(nearest[tri_idx >= 0] == -1)
-    assert not bary[miss].any()
+def _located(mesh, tri_idx, bary):
+    """The points that ``locate_points`` found, from their barycentric coordinates."""
+    return np.einsum("nc,ncd->nd", bary, mesh.vertices[mesh.triangles[tri_idx]])
+
+
+def test_interpolate_stack_rows_equal_single_fields(mesh2000, mesh500, rng):
+    # points on the circle between boundary vertices take the nudged path
+    values = rng.standard_normal((3, mesh2000.num_vertices))
+    theta = np.linspace(0.0, 2.0 * math.pi, 41)[:-1] + 0.0137
+    pts = np.vstack([mesh500.vertices, np.column_stack([np.cos(theta), np.sin(theta)])])
+    tri_idx, bary = locate_points(mesh2000, pts)
+    assert np.max(np.abs(_located(mesh2000, tri_idx, bary) - pts)) > 1e-9
     stacked = interpolate(mesh2000, values, pts)
-    assert stacked.shape == (pts.shape[0], 3)
-    # the far points take the value at the brute-force nearest vertex
-    for row in (-2, -1):
-        assert row + pts.shape[0] in miss
-        d = np.hypot(*(mesh2000.vertices - pts[row]).T)
-        assert stacked[row].tobytes() == values[np.argmin(d)].tobytes()
-    for col in range(3):
-        single = interpolate(mesh2000, np.ascontiguousarray(values[:, col]), pts)
+    assert stacked.shape == (3, pts.shape[0])
+    for row in range(3):
+        single = interpolate(mesh2000, values[row], pts)
         assert single.shape == (pts.shape[0],)
-        assert stacked[:, col].tobytes() == single.tobytes()
+        assert stacked[row].tobytes() == single.tobytes()
+
+
+def test_points_outside_the_disk_raise(mesh2000, mesh500, rng):
+    values = rng.standard_normal((3, mesh2000.num_vertices))
+    pts = np.vstack([mesh500.vertices, [[1.5, 0.0], [0.0, -2.0]]])
+    first = r"the first at \(1\.5, 0\.0\)$"
+    message = rf"^2 of {pts.shape[0]} points lie outside the unit disk, {first}"
+    with pytest.raises(ValueError, match=message):
+        locate_points(mesh2000, pts)
+    for field in (values, values[0]):
+        with pytest.raises(ValueError, match=message):
+            interpolate(mesh2000, field, pts)
+
+
+@pytest.mark.parametrize("data_size", [4, 5, 7, 10, 50, 200, 800, 3000])
+def test_every_point_of_the_closed_disk_is_located(data_size, rng):
+    # target mesh vertices, random points of the closed disk, points on the
+    # circle and the mesh's own boundary vertices are all located. A point
+    # inside the mesh polygon, whose inscribed radius is sqrt(1 - L^2/4) for
+    # the longest boundary chord L, is located where it is; the nudge moves
+    # any other point by at most L^2/4 times its radius
+    mesh = generate_disk_mesh(data_size)
+    ends = mesh.vertices[mesh.boundary_edges]
+    shrink = np.max(np.sum((ends[:, 1] - ends[:, 0]) ** 2, axis=1)) / 4.0
+    radius = np.append(np.sqrt(rng.uniform(0.0, 1.0, 300)), np.ones(200))
+    theta = rng.uniform(0.0, 2.0 * math.pi, 500)
+    disk = radius[:, None] * np.column_stack([np.cos(theta), np.sin(theta)])
+    targets = [generate_disk_mesh(n).vertices for n in (4, 17, 200, 2000)]
+    own = np.unique(mesh.boundary_edges)
+    values = 0.7 * mesh.vertices[:, 0] - 1.3 * mesh.vertices[:, 1] + 0.2
+    for pts in (*targets, disk, mesh.vertices[own]):
+        tri_idx, bary = locate_points(mesh, pts)
+        assert np.all(bary >= -1e-9)
+        r = np.hypot(*pts.T)
+        moved = np.hypot(*(_located(mesh, tri_idx, bary) - pts).T)
+        assert np.all(moved[r < math.sqrt(1.0 - shrink)] <= 1e-15)
+        assert np.all(moved <= shrink * r + 1e-15)
+        err = np.abs(interpolate(mesh, values, pts) - (0.7 * pts[:, 0] - 1.3 * pts[:, 1] + 0.2))
+        assert np.all(err <= math.hypot(0.7, 1.3) * moved + 1e-12)
+    assert np.array_equal(interpolate(mesh, values, mesh.vertices[own]), values[own])
 
 
 def test_mesh_operators_share_storage(mesh500):
