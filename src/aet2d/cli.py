@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 
 from . import fileio
 from .fem import InnerProductSpec, NodalField
-from .forward import MeasurementSet, determinant_diagnostic, simulate_data
+from .forward import FAMILIES, MeasurementSet, determinant_diagnostic, simulate_data
 from .illposed import assemble_transfer_matrix, condition_table, svd_analyze
 from .inversion import ReconstructionConfig, add_noise, run_landweber
 from .mesh import BoundaryArc, generate_disk_mesh
@@ -161,7 +161,7 @@ _ALL = ("phantom", "simulate", "reconstruct", "svd", "condition-table")
 _PHANTOM = ("phantom", "simulate", "svd", "condition-table")
 _MEASURE = ("simulate", "svd")
 _RECON = ("reconstruct",)
-_FAMILIES = dict(trig="trig", trig_limited="trig", special="special", special_full="special")
+_FAMILIES = {name: name for name in FAMILIES}
 
 # Every parameter. A config section or a subcommand accepts a key only
 # if its command reads it; [common] accepts every key.

@@ -224,21 +224,6 @@ def determinant_diagnostic(potentials: NodalField):
     return det, float(np.min(np.abs(det)))
 
 
-def _kept_fine_solver(fine_mesh: Mesh, sigma_values: np.ndarray) -> ZeroMeanSolver | None:
-    """Take the kept solver of ``fine_mesh`` if it factorized this conductivity.
-
-    The record is removed either way, so a solver that does not match is
-    released before the caller factorizes the new conductivity.
-    """
-    kept = _FINE_SOLVERS.pop(fine_mesh, None)
-    if kept is None:
-        return None
-    values, solver = kept
-    if np.array_equal(values, sigma_values):
-        return solver
-    return None
-
-
 def simulate_data(spec: PhantomSpec, ms: MeasurementSet, recon_mesh: Mesh, fine_mesh: Mesh):
     """Synthesize power-density data on ``fine_mesh`` and transfer it to ``recon_mesh``.
 
@@ -266,7 +251,10 @@ def simulate_data(spec: PhantomSpec, ms: MeasurementSet, recon_mesh: Mesh, fine_
         while a caller keeps it.
     """
     sigma_fine = phantom_field(spec, fine_mesh)
-    solver = _kept_fine_solver(fine_mesh, sigma_fine.values)
+    # popped either way, so a solver that does not match is released before factorizing
+    values, solver = _FINE_SOLVERS.pop(fine_mesh, (None, None))
+    if not np.array_equal(values, sigma_fine.values):
+        solver = None
     state = solve_measurement_set(sigma_fine, ms, solver=solver)
     _FINE_SOLVERS[fine_mesh] = (sigma_fine.values, state.solver)
     data = interpolate(fine_mesh, state.power_densities.values, recon_mesh.vertices)

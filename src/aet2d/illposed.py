@@ -39,7 +39,6 @@ absolute terms, as it is from the SVD of the stacked blocks.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -104,19 +103,17 @@ def assemble_transfer_matrix(
     v = mesh.num_vertices
     matrix = np.empty((state.num_measurements * v, v))
     blocks = matrix.reshape(state.num_measurements, v, v)
-    for _ in _transfer_blocks(state, state.solver.solve(np.eye(v)), blocks):
-        pass  # each block is written into its rows of ``matrix``
+    kinv = state.solver.solve(np.eye(v))
+    for j in range(state.num_measurements):
+        _transfer_block(state, kinv, j, blocks[j])
     return TransferMatrix(matrix=matrix, mesh=mesh)
 
 
-def _transfer_blocks(state: ForwardState, kinv: np.ndarray, out):
-    """Write each measurement's (V, V) transfer block into the next array of
-    ``out`` and yield that array.
+def _transfer_block(state: ForwardState, kinv: np.ndarray, j: int, out: np.ndarray) -> np.ndarray:
+    """Write measurement j's (V, V) transfer block into ``out`` and return it.
 
     ``kinv`` is K+ of the state's conductivity, ``state.solver`` applied
-    to the identity. ``out`` is the (M, V, V) view of a transfer matrix,
-    or one array repeated if each block is used before the next is asked
-    for.
+    to the identity.
     """
     mesh = state.mesh
     # (V, T) entry (v, t) = int_t sigma phi_v, exact for P1 sigma. CSR, not
@@ -127,13 +124,12 @@ def _transfer_blocks(state: ForwardState, kinv: np.ndarray, out):
         * mesh.triangle_areas[:, None]
     ).tocsr()
     area_avg = sparse.diags(mesh.triangle_areas) @ (mesh.incidence / 3.0)
-    for j, blk in zip(range(state.num_measurements), out):
-        # (T, V) per-triangle pairings grad(u_j) . grad(phi_i).
-        pair = state.pairing_t[j].T
-        # The hat-function linearizations are u' = -K+ pair^T diag(area) avg.
-        assemble_weighted_mass(mesh, state.grad_sq[j]).toarray(out=blk)
-        blk -= 2.0 * (sigma_ints @ pair @ kinv @ (pair.T @ area_avg))
-        yield blk
+    # (T, V) per-triangle pairings grad(u_j) . grad(phi_i).
+    pair = state.pairing_t[j].T
+    # The hat-function linearizations are u' = -K+ pair^T diag(area) avg.
+    assemble_weighted_mass(mesh, state.grad_sq[j]).toarray(out=out)
+    out -= 2.0 * (sigma_ints @ pair @ kinv @ (pair.T @ area_avg))
+    return out
 
 
 def singular_values(matrix: np.ndarray) -> np.ndarray:
@@ -284,10 +280,12 @@ def condition_table(sigma_truth: NodalField, truncate: int | None = None):
     for alpha in TABLE_ANGLES:
         state = solve_measurement_set(sigma_truth, MeasurementSet.trig(alpha), solver=solver)
         # each block is reduced to its R before the next overwrites the buffer
+        blk = np.empty((v, v))
         r1, r2, r3 = (
-            linalg.qr(blk, mode="r", check_finite=False)[0]
-            for blk in _transfer_blocks(state, kinv, itertools.repeat(np.empty((v, v))))
+            linalg.qr(_transfer_block(state, kinv, j, blk), mode="r", check_finite=False)[0]
+            for j in range(3)
         )
+        del blk  # so that no buffer is alive during the folds
         r12 = _stacked_factor(r1, r2)
         conds = {
             (1, 2, 3): _factor_condition(_stacked_factor(r12, r3), truncate),

@@ -91,8 +91,8 @@ def add_noise(data: NodalField, delta_rel: float, seed: int):
     of the perturbation is exactly delta_rel * |data|. Returns the noisy
     stack and the absolute noise level delta_rel * |data|.
     """
-    if delta_rel < 0.0:
-        raise ValueError("delta_rel must be >= 0")
+    if not (math.isfinite(delta_rel) and delta_rel >= 0.0):
+        raise ValueError(f"delta_rel must be finite and >= 0, got {delta_rel!r}")
     mesh = data.mesh
     if delta_rel == 0.0:
         return NodalField(mesh, data.values.copy()), 0.0

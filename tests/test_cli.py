@@ -412,6 +412,12 @@ def test_unknown_family_fails(tmp_path, capsys):
     assert f"{cfg}: family = 'fourier' is not a family (expected one of trig," in err
     assert run_cli("svd", "--family", "fourier", "--out", tmp_path / "x") == 2
     assert "error: flag --family: family = 'fourier' is not a family" in capsys.readouterr().err
+    # only forward.FAMILIES are family names: no alias maps onto one
+    for alias in ("trig_limited", "special_full"):
+        assert run_cli("simulate", "--family", alias, "--out", tmp_path / "x") == 2
+        err = capsys.readouterr().err
+        assert f"family = '{alias}' is not a family (expected one of trig, special)" in err
+    assert not (tmp_path / "x").exists()
 
 
 def test_config_rejects_an_unknown_key(tmp_path, capsys):

@@ -305,7 +305,7 @@ def test_truncate_is_checked_before_any_work(desk_transfer, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", heavy)
     monkeypatch.setattr(illposed, "ZeroMeanSolver", heavy)
-    monkeypatch.setattr(illposed, "_transfer_blocks", heavy)
+    monkeypatch.setattr(illposed, "_transfer_block", heavy)
     for call in (
         lambda: svd_analyze(T, truncate=0),
         lambda: condition_table(truth, truncate=0),
@@ -442,15 +442,15 @@ def test_condition_table_repeats_bitwise(mesh500):
 def test_condition_table_rank_deficient_block_falls_back(mesh200, monkeypatch):
     # A zero column gives every triangle an exactly zero pivot: the grid
     # must hand it to the SVD of the triangle without dividing by it.
-    transfer_blocks = illposed._transfer_blocks
+    transfer_block = illposed._transfer_block
 
     def zero_first_column(*args):
-        for blk in transfer_blocks(*args):
-            blk[:, 0] = 0.0
-            yield blk
+        blk = transfer_block(*args)
+        blk[:, 0] = 0.0
+        return blk
 
     # condition_table and assemble_transfer_matrix both form their blocks here
-    monkeypatch.setattr(illposed, "_transfer_blocks", zero_first_column)
+    monkeypatch.setattr(illposed, "_transfer_block", zero_first_column)
     fallbacks = _spy_condition_number(monkeypatch)
     truth = phantom_field(default_phantom(), mesh200)
     rows = condition_table(truth)
@@ -546,3 +546,25 @@ def test_condition_table_releases_each_angles_triangles(mesh200, monkeypatch):
     per_angle = {"qr": 3, "tpqrt": 4}
     assert at_solve == [(0, {"qr": 0, "tpqrt": 0})] + [(0, per_angle)] * (len(TABLE_ANGLES) - 1)
     assert counts == per_angle and len(triangles) == 7 * len(TABLE_ANGLES)
+
+
+def test_condition_table_releases_each_angles_block_buffer(mesh200, monkeypatch):
+    # the buffer that holds an angle's blocks dies after their three QRs,
+    # so none is alive at any tpqrt fold
+    buffers = []
+    alive_at_fold = []
+    transfer_block, stacked_factor = illposed._transfer_block, illposed._stacked_factor
+
+    def tracked_transfer_block(state, kinv, j, out):
+        buffers.append(weakref.ref(out))
+        return transfer_block(state, kinv, j, out)
+
+    def checked_stacked_factor(*args):
+        alive_at_fold.append(sum(ref() is not None for ref in buffers))
+        return stacked_factor(*args)
+
+    monkeypatch.setattr(illposed, "_transfer_block", tracked_transfer_block)
+    monkeypatch.setattr(illposed, "_stacked_factor", checked_stacked_factor)
+    condition_table(phantom_field(default_phantom(), mesh200))
+    assert len(buffers) == 3 * len(TABLE_ANGLES)
+    assert alive_at_fold == [0] * (4 * len(TABLE_ANGLES))

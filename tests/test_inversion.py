@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -43,6 +44,20 @@ def test_add_noise_zero_level(mesh200, rng):
     assert delta == 0.0
     assert np.array_equal(noisy.values, data.values)
     assert not np.shares_memory(noisy.values, data.values)
+
+
+@pytest.mark.parametrize("delta_rel", [-0.1, float("nan"), float("inf")])
+def test_add_noise_rejects_a_negative_or_non_finite_level(mesh200, monkeypatch, delta_rel):
+    # NaN and inf would scale the noise and fail later in NodalField, whose
+    # "non-finite values" names the wrong cause
+    def heavy(*args):
+        raise AssertionError("noise was scaled before delta_rel was checked")
+
+    monkeypatch.setattr(inversion, "norm_sq", heavy)
+    data = NodalField(mesh200, np.ones((2, mesh200.num_vertices)))
+    message = f"delta_rel must be finite and >= 0, got {delta_rel!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        add_noise(data, delta_rel, seed=5)
 
 
 def test_add_noise_exact_relative_level(desk_problem):
