@@ -25,12 +25,15 @@ of ``svd_analyze`` with vectors (1, 100) on the condition-grid bench's
 shape (three measurements, alpha = pi), at the library mesh size.
 Then come ``<sha256>  mesh/<n>/<array>`` lines for the four arrays of
 ``generate_disk_mesh(n)`` at the bench's mesh sizes, the 40000-vertex
-data mesh included, each hashed with its dtype and shape. The last line,
-``bench_data/pi``, hashes the data that ``simulate_data`` transfers at
-the bench's own sizes: the default phantom on 2000 vertices from 40000,
-trig currents at alpha = pi. Every input is fixed, so a change that
-keeps every mesh, written file and iterate bit-identical leaves the
-output unchanged: run the script at two commits and diff the outputs.
+data mesh included, each hashed with its dtype and shape. The last four
+lines, ``bench_data/<angle>``, hash the data that ``simulate_data``
+transfers at the bench's own sizes, as the sweep makes them: the default
+phantom on 2000 vertices from one 40000-vertex data mesh, trig currents
+at alpha = 2pi, 3pi/2, pi and pi/2 in turn, so the later arcs reuse the
+data mesh's kept solver and centroid tree. Every input is fixed, so a
+change that keeps every mesh, written file and iterate bit-identical
+leaves the output unchanged: run the script at two commits and diff the
+outputs.
 
     PYTHONPATH=src python scripts/cli_digest.py > digests.txt
 """
@@ -98,8 +101,11 @@ LIBRARY_SVD_VECTORS = (1, 100)
 
 # Mesh sizes of the bench workloads: grid, reconstruction and data meshes.
 MESH_SIZES = (1000, 2000, 40000)
-# Reconstruction and data mesh sizes of the bench's landweber_sweep.
+# Reconstruction and data mesh sizes of the bench's landweber_sweep, and its angles.
 BENCH_DATA_SIZES = (2000, 40000)
+BENCH_ANGLES = (
+    ("2pi", 2.0 * math.pi), ("3pi_2", 1.5 * math.pi), ("pi", math.pi), ("pi_2", 0.5 * math.pi)
+)
 MESH_ARRAYS = ("vertices", "triangles", "boundary_edges", "boundary_edge_angles")
 
 
@@ -159,11 +165,14 @@ def mesh_digests():
 
 
 def bench_data_digest():
-    """(label, sha256) of the bench-size data for the default phantom at alpha = pi."""
+    """(label, sha256) of the bench-size data for the default phantom at ``BENCH_ANGLES``."""
     mesh, fine = (aet2d.generate_disk_mesh(n) for n in BENCH_DATA_SIZES)
-    ms = aet2d.MeasurementSet.trig(math.pi)
-    data, _ = aet2d.simulate_data(aet2d.default_phantom(), ms, mesh, fine_mesh=fine)
-    return [("bench_data/pi", _sha(data.values))]
+    out = []
+    for angle, alpha in BENCH_ANGLES:
+        ms = aet2d.MeasurementSet.trig(alpha)
+        data, _ = aet2d.simulate_data(aet2d.default_phantom(), ms, mesh, fine_mesh=fine)
+        out.append((f"bench_data/{angle}", _sha(data.values)))
+    return out
 
 
 def digests(root):

@@ -340,7 +340,7 @@ def cmd_reconstruct(settings: dict) -> int:
     ms = make_measurement_set(info)
     mesh = generate_disk_mesh(info["mesh_vertices"])
     mesh_path = os.path.join(data_dir, "mesh.txt")
-    with open(mesh_path) as fp:
+    with fileio._open_text(mesh_path) as fp:
         pairs = zip_longest(fp, fileio.mesh_text(mesh).splitlines(keepends=True))
         lineno = next((n for n, (got, want) in enumerate(pairs, start=1) if got != want), 0)
     if lineno:
@@ -355,10 +355,8 @@ def cmd_reconstruct(settings: dict) -> int:
             for j in range(1, len(ms) + 1)
         ],
     )
-    truth = None
     truth_path = os.path.join(data_dir, "truth.csv")
-    if os.path.exists(truth_path):
-        truth = fileio.read_field_csv(truth_path, mesh)
+    truth = fileio.read_field_csv(truth_path, mesh) if os.path.exists(truth_path) else None
 
     config = ReconstructionConfig(
         spec=InnerProductSpec(settings["beta1"], settings["beta2"]),

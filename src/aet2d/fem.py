@@ -221,8 +221,7 @@ class ZeroMeanSolver:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve for one RHS (V,) or a stack of them (V, k)."""
-        u, _ = self.solve_with_multiplier(b)
-        return u
+        return self.solve_with_multiplier(b)[0]
 
     def solve_with_multiplier(self, b: np.ndarray):
         """Return (u, lam) with K u + lam * mean_row = b and mean_row . u = 0."""

@@ -8,6 +8,7 @@ output.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 
@@ -20,6 +21,16 @@ from .mesh import Mesh
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+@contextlib.contextmanager
+def _open_text(path):
+    """``open(path)`` for reading; text that does not decode raises ``ValueError`` naming it."""
+    with open(path) as fp:
+        try:
+            yield fp
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"cannot read {path}: {exc}") from None
 
 
 def _floats(values) -> list[float]:
@@ -49,7 +60,7 @@ def read_field_csv(path, mesh: Mesh) -> NodalField:
     vertices = mesh.vertices.tolist()
     values = np.empty(n)
     row = 0
-    with open(path) as fp:
+    with _open_text(path) as fp:
         header = fp.readline().strip()
         if header != "x,y,value":
             raise ValueError(f"unexpected field header {header!r} in {path}")
@@ -165,13 +176,13 @@ def read_key_values(path, section: str) -> dict:
     """Keys of one section of a file written by ``write_key_values``.
 
     A file that is not INI text, or that lacks the section, raises
-    ``ValueError`` naming the file.
+    ``ValueError`` naming the file. A ``%`` in a value is plain text.
     """
     import configparser
 
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
-        with open(path) as fp:
+        with _open_text(path) as fp:
             parser.read_file(fp)
     except configparser.Error as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None

@@ -187,8 +187,7 @@ def svd_analyze(
     else:
         s = singular_values(T.matrix)
     kept = s[:truncate]
-    vectors = []
-    indices = []
+    vectors, indices = [], []
     for k in vector_indices:
         if k > len(s):
             warnings.warn(f"singular-vector index {k} exceeds rank {len(s)}; skipped")

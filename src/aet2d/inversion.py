@@ -34,7 +34,11 @@ DEFAULT_SIGMA_FLOOR = 0.1
 
 @dataclass(frozen=True)
 class ReconstructionConfig:
-    """Parameters of one Landweber reconstruction run."""
+    """Parameters of one Landweber reconstruction run.
+
+    ``delta_rel`` is not read: the stop uses ``run_landweber``'s ``delta_abs``.
+    It stays while the bench harness (``bench/workloads.py``) sets it.
+    """
 
     tau: float = 1.0
     delta_rel: float = 0.0
@@ -207,9 +211,7 @@ def run_landweber(
             return float("nan")
         return float(np.sqrt(norm_sq(mesh, s.values - truth.values))) / truth_norm
 
-    residuals: list[float] = []
-    omegas: list[float] = []
-    errors: list[float] = []
+    residuals, omegas, errors = [], [], []
 
     current = evaluate(NodalField.constant(mesh, config.sigma0))
     # iterates 0..max_iter: each is tested for the stop before a step from it
@@ -234,10 +236,5 @@ def run_landweber(
     omegas.append(float("nan"))
     errors.append(rel_error(current.state.sigma))
 
-    log = IterationLog(
-        residuals=np.asarray(residuals),
-        omegas=np.asarray(omegas),
-        rel_errors=np.asarray(errors),
-        stop_reason=stop_reason,
-    )
+    log = IterationLog(np.asarray(residuals), np.asarray(omegas), np.asarray(errors), stop_reason)
     return current.state.sigma, log

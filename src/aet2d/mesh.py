@@ -83,10 +83,10 @@ class Mesh:
     with, the mass matrix ``mass`` (the data-space inner product), the
     hat-function integrals ``vertex_weights``, and the fixed-pattern
     sparse operators between vertex and triangle values (``incidence_t``,
-    its transpose view ``incidence``, and ``gradient_operator``). Their
-    index arrays are int32, the incidence shares ``triangles`` as its
-    index array, and ``gradient_operator`` stores no copy of
-    ``hat_gradients``.
+    its transpose view ``incidence``, ``gradient_operator``), whose index
+    arrays are int32, and the centroid KD-tree of ``locate_points``. The
+    incidence shares ``triangles`` as its index array, and
+    ``gradient_operator`` stores no copy of ``hat_gradients``.
     """
 
     def __init__(self, vertices, triangles, boundary_edges, boundary_edge_angles):
@@ -272,6 +272,13 @@ class Mesh:
             shape=(2 * t, self.num_vertices),
         )
 
+    @cached_property
+    def _centroid_tree(self):
+        """``cKDTree`` of the (T, 2) triangle centroids: the candidates of ``locate_points``."""
+        from scipy.spatial import cKDTree
+
+        return cKDTree(self.vertices[self.triangles].mean(axis=1))
+
     def edge_count(self) -> int:
         """Number of distinct edges (for Euler characteristic checks)."""
         t = self.triangles.astype(np.int64)
@@ -283,15 +290,11 @@ class Mesh:
     def min_angle_deg(self) -> float:
         """Smallest interior angle over all triangles, in degrees."""
         p = self.vertices[self.triangles]
-        angles = []
-        for i in range(3):
-            a = p[:, (i + 1) % 3] - p[:, i]
-            b = p[:, (i + 2) % 3] - p[:, i]
-            cosang = np.einsum("td,td->t", a, b) / (
-                np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
-            )
-            angles.append(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))))
-        return float(np.min(angles))
+        a = np.roll(p, -1, axis=1) - p  # (T, 3, 2): corner c to corner c + 1
+        b = np.roll(p, -2, axis=1) - p  # corner c to corner c + 2
+        norms = np.linalg.norm(a, axis=2) * np.linalg.norm(b, axis=2)
+        cosang = np.einsum("tcd,tcd->tc", a, b) / norms
+        return float(np.min(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))))
 
 
 def rowwise(op: sparse.spmatrix, values: np.ndarray) -> np.ndarray:
@@ -416,13 +419,13 @@ def accessible_boundary_edges(mesh: Mesh, arc: BoundaryArc) -> np.ndarray:
 def locate_points(mesh: Mesh, points: np.ndarray):
     """Find the containing triangle and barycentric coordinates of each point.
 
-    Every point of the closed unit disk is located. Candidates come from
-    a KD-tree over the triangle centroids. A point between the circle and
-    a boundary chord of length L lies outside the mesh polygon, by at
-    most the sagitta 1 - sqrt(1 - L^2/4) <= L^2/4, so a missed point is
-    shrunk toward the origin by L^2/4 of the longest chord and tried
-    again. A point that no triangle holds even then raises ``ValueError``
-    naming how many points missed and the first of them.
+    Every point of the closed unit disk is located, in the nearest of its
+    candidates (the mesh's cached centroid KD-tree) that holds it. A point
+    between the circle and a boundary chord of length L lies outside the
+    mesh polygon, by at most the sagitta 1 - sqrt(1 - L^2/4) <= L^2/4, so
+    a missed point is shrunk toward the origin by L^2/4 of the longest
+    chord and tried again. A point that no triangle holds even then
+    raises ``ValueError`` naming how many points missed and the first.
 
     Returns
     -------
@@ -431,36 +434,26 @@ def locate_points(mesh: Mesh, points: np.ndarray):
     bary : (N, 3) float array
         Barycentric coordinates in that triangle.
     """
-    from scipy.spatial import cKDTree
-
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    p = mesh.vertices[mesh.triangles]
-    tree = cKDTree(p.mean(axis=1))
     n = points.shape[0]
     tri_idx = np.full(n, -1, dtype=np.int64)
     bary = np.zeros((n, 3))
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
 
     def try_assign(pts, rows, k, tol):
-        _, cand = tree.query(pts, k=k)
-        cand = np.atleast_2d(cand)
-        remaining = np.ones(len(rows), dtype=bool)
-        for c in range(cand.shape[1]):
-            if not remaining.any():
-                break
-            act = np.flatnonzero(remaining)
-            t = cand[act, c]
-            rel = pts[act] - p[t, 0]
-            l1 = (rel[:, 0] * d2[t, 1] - rel[:, 1] * d2[t, 0]) / det[t]
-            l2 = (d1[t, 0] * rel[:, 1] - d1[t, 1] * rel[:, 0]) / det[t]
-            l0 = 1.0 - l1 - l2
-            ok = (l0 >= -tol) & (l1 >= -tol) & (l2 >= -tol)
-            hit = act[ok]
-            tri_idx[rows[hit]] = t[ok]
-            bary[rows[hit]] = np.column_stack([l0[ok], l1[ok], l2[ok]])
-            remaining[act[ok]] = False
+        cand = mesh._centroid_tree.query(pts, k=k)[1].reshape(len(rows), k)
+        corners = mesh.vertices[mesh.triangles[cand]]
+        d1 = corners[:, :, 1] - corners[:, :, 0]
+        d2 = corners[:, :, 2] - corners[:, :, 0]
+        det = 2.0 * mesh.triangle_areas[cand]  # the cross product d1 x d2, bit for bit
+        rel = pts[:, None] - corners[:, :, 0]
+        l1 = (rel[..., 0] * d2[..., 1] - rel[..., 1] * d2[..., 0]) / det
+        l2 = (d1[..., 0] * rel[..., 1] - d1[..., 1] * rel[..., 0]) / det
+        l0 = 1.0 - l1 - l2
+        ok = (l0 >= -tol) & (l1 >= -tol) & (l2 >= -tol)
+        hit = np.flatnonzero(ok.any(axis=1))
+        first = ok[hit].argmax(axis=1)
+        tri_idx[rows[hit]] = cand[hit, first]
+        bary[rows[hit]] = np.stack([l0, l1, l2], axis=-1)[hit, first]
 
     try_assign(points, np.arange(n), k=min(8, mesh.num_triangles), tol=1e-12)
     miss = np.flatnonzero(tri_idx < 0)

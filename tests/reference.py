@@ -11,8 +11,10 @@ independently of how the package forms them.
 
 ``disk_mesh`` and the ``write_*`` functions build the mesh and the files
 one triangle, vertex or row at a time, with a two-pointer sweep over
-each ring pair and one ``fp.write`` per row. The package builds them an
-array at a time and must match them byte for byte.
+each ring pair and one ``fp.write`` per row. ``locate_points`` builds
+its own centroid tree and corner arrays over all triangles on every call
+and tests the candidates one column at a time. The package builds them
+an array at a time and must match them byte for byte.
 """
 
 import numpy as np
@@ -116,6 +118,51 @@ def disk_mesh(target_vertex_count: int) -> Mesh:
     boundary_edges = np.column_stack([last, np.roll(last, -1)])
     mid_angles = (TWO_PI * (np.arange(mb) + 0.5) / mb) % TWO_PI
     return Mesh(np.asarray(verts), np.asarray(tris), boundary_edges, mid_angles)
+
+
+def locate_points(mesh: Mesh, points):
+    """``(tri_idx, bary)`` of each point: the nearest of its 8 (then, nudged, 32)
+    centroid candidates that holds it, tried one candidate column at a time.
+    """
+    from scipy.spatial import cKDTree
+
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    p = mesh.vertices[mesh.triangles]
+    tree = cKDTree(p.mean(axis=1))
+    n = points.shape[0]
+    tri_idx = np.full(n, -1, dtype=np.int64)
+    bary = np.zeros((n, 3))
+    d1 = p[:, 1] - p[:, 0]
+    d2 = p[:, 2] - p[:, 0]
+    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+
+    def try_assign(pts, rows, k, tol):
+        _, cand = tree.query(pts, k=k)
+        cand = np.atleast_2d(cand)
+        remaining = np.ones(len(rows), dtype=bool)
+        for c in range(cand.shape[1]):
+            if not remaining.any():
+                break
+            act = np.flatnonzero(remaining)
+            t = cand[act, c]
+            rel = pts[act] - p[t, 0]
+            l1 = (rel[:, 0] * d2[t, 1] - rel[:, 1] * d2[t, 0]) / det[t]
+            l2 = (d1[t, 0] * rel[:, 1] - d1[t, 1] * rel[:, 0]) / det[t]
+            l0 = 1.0 - l1 - l2
+            ok = (l0 >= -tol) & (l1 >= -tol) & (l2 >= -tol)
+            hit = act[ok]
+            tri_idx[rows[hit]] = t[ok]
+            bary[rows[hit]] = np.column_stack([l0[ok], l1[ok], l2[ok]])
+            remaining[act[ok]] = False
+
+    try_assign(points, np.arange(n), k=min(8, mesh.num_triangles), tol=1e-12)
+    miss = np.flatnonzero(tri_idx < 0)
+    if miss.size:
+        ends = mesh.vertices[mesh.boundary_edges]
+        chords = ends[:, 1] - ends[:, 0]
+        shrink = float(np.max(np.einsum("bd,bd->b", chords, chords))) / 4.0
+        try_assign(points[miss] * (1.0 - shrink), miss, k=min(32, mesh.num_triangles), tol=1e-9)
+    return tri_idx, bary
 
 
 def _fmt(x) -> str:

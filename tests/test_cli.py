@@ -491,6 +491,41 @@ def test_reconstruct_names_a_bad_data_info_value(sim_dir, tmp_path, capsys):
     assert f"error: {info}: delta_abs = '0.01x' is not a number" in capsys.readouterr().err
 
 
+def test_a_percent_sign_in_data_info_is_plain_text(sim_dir, tmp_path, capsys):
+    data = _copy_data(sim_dir, tmp_path / "data")
+    info = data / "data_info.txt"
+    saved = info.read_text()
+    for key, text in (("measurements", "3%"), ("seed", "5%")):
+        lines = saved.splitlines(keepends=True)
+        info.write_text("".join(f"{key} = {text}\n" if ln.startswith(key) else ln for ln in lines))
+        out = tmp_path / key
+        code = run_cli("reconstruct", "--data", data, "--out", out, "--max-iter", 1)
+        err = capsys.readouterr().err
+        if key == "measurements":
+            assert code == 2
+            assert f"error: {info}: measurements = '3%' is not an integer" in err
+            assert not out.exists()
+        else:
+            # reconstruct does not read the seed
+            assert code == 0
+            assert (out / "reconstruction.csv").exists()
+
+
+@pytest.mark.parametrize("name", ["data_info.txt", "mesh.txt", "E_noisy_02.csv", "truth.csv"])
+def test_reconstruct_names_a_data_file_that_is_not_text(name, sim_dir, tmp_path, capsys):
+    data = _copy_data(sim_dir, tmp_path / "data")
+    path = data / name
+    raw = path.read_bytes()
+    half = len(raw) // 2
+    path.write_bytes(raw[:half] + b"\xff" + raw[half + 1 :])
+    code = run_cli("reconstruct", "--data", data, "--out", tmp_path / "r", "--max-iter", 1)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot read {path}: " in err
+    assert "can't decode byte 0xff" in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_reconstruct_rejects_a_negative_delta_abs(sim_dir, tmp_path, capsys):
     # a negative noise level would silently turn the discrepancy stop off
     data = _copy_data(sim_dir, tmp_path / "data")

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.spatial
 
 from aet2d import forward
 from aet2d.fem import CompatibilityWarning, NodalField, assemble_boundary_load, norm_sq
@@ -107,6 +108,42 @@ def test_power_density_exact_cases(mesh500):
     sigma2 = NodalField.constant(mesh500, 2.0)
     yhalf = NodalField(mesh500, mesh500.vertices[:, 1] / 2.0)
     assert np.max(np.abs(power_density(sigma2, yhalf).values - 0.5)) <= 1e-12
+
+
+# Oracle of a variable conductivity: sigma = s(y) with the full-circle
+# current s(sin theta) cos theta has the potential u = x and the power
+# density E = s(y) exactly. Measured rel. mass-norm errors per vertex count
+# (V is 1001, 1998 and 7997): eta = |E_h - E| / |E| and |u_h - x| / |x|.
+ORACLE_ERRORS = {1000: (2.623e-3, 1.969e-4), 2000: (1.585e-3, 9.080e-5), 8000: (6.500e-4, 2.290e-5)}
+# Observed orders per h ~ V^-1/2 between neighbouring sizes, for eta and u.
+ORACLE_ORDERS = ((1.46, 2.24), (1.29, 1.99))
+# Margins: each error may grow by 20%, each order may fall by 0.25.
+ORACLE_ERROR_MARGIN, ORACLE_ORDER_MARGIN = 1.2, 0.25
+
+
+def _oracle_conductivity(y):
+    return 1.0 + 0.5 * np.sin(2.0 * y) + 0.3 * y**2
+
+
+def test_variable_conductivity_oracle_converges():
+    s = _oracle_conductivity
+    sizes, errors = [], []
+    for target, bounds in ORACLE_ERRORS.items():
+        mesh = generate_disk_mesh(target)
+        x, y = mesh.vertices.T
+        load = assemble_boundary_load(mesh, lambda th: s(np.sin(th)) * np.cos(th), FULL_CIRCLE)
+        ms = MeasurementSet.trig(2.0 * math.pi, (1,))
+        state = solve_measurement_set(NodalField(mesh, s(y)), ms, loads=load[:, None])
+        eta = math.sqrt(norm_sq(mesh, state.power_densities.values[0] - s(y)) / norm_sq(mesh, s(y)))
+        u_err = math.sqrt(norm_sq(mesh, state.potentials.values[0] - x) / norm_sq(mesh, x))
+        assert eta <= ORACLE_ERROR_MARGIN * bounds[0]
+        assert u_err <= ORACLE_ERROR_MARGIN * bounds[1]
+        sizes.append(mesh.num_vertices)
+        errors.append((eta, u_err))
+    for k, measured in enumerate(ORACLE_ORDERS):
+        log_h_ratio = 0.5 * math.log(sizes[k + 1] / sizes[k])
+        for coarse, fine, order in zip(errors[k], errors[k + 1], measured):
+            assert math.log(coarse / fine) / log_h_ratio >= order - ORACLE_ORDER_MARGIN
 
 
 def test_current_scaling_squares_power(mesh500):
@@ -259,6 +296,28 @@ def test_simulate_data_factorizes_a_data_mesh_once_for_every_arc(mesh200, monkey
         assert np.array_equal(got_data.values, data.values)
         assert np.array_equal(got_potentials.values, potentials.values)
     assert len(solvers) == 1
+
+
+def test_simulate_data_builds_a_data_mesh_centroid_tree_once_for_every_arc(
+    mesh200, monkeypatch
+):
+    # the data mesh keeps the centroid tree that point location queries, so
+    # the arcs locate the reconstruction vertices without building another
+    spec = default_phantom()
+    sets = [MeasurementSet.trig(a * math.pi) for a in (2.0, 1.5, 1.0, 0.5)]
+    expected = [_fresh_mesh_data(spec, ms, mesh200)[0] for ms in sets]
+    built = []
+    tree = scipy.spatial.cKDTree
+
+    def counted_tree(*args, **kwargs):
+        built.append(args[0].shape)
+        return tree(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", counted_tree)
+    fine = generate_disk_mesh(3000)
+    for ms, data in zip(sets, expected):
+        assert np.array_equal(simulate_data(spec, ms, mesh200, fine)[0].values, data.values)
+    assert built == [(fine.num_triangles, 2)]
 
 
 def test_simulate_data_refactorizes_for_another_conductivity(mesh200, monkeypatch):

@@ -148,6 +148,31 @@ def test_interpolate_stack_rows_equal_single_fields(mesh2000, mesh500, rng):
         assert stacked[row].tobytes() == single.tobytes()
 
 
+@pytest.mark.parametrize("data_size", [7, 800, 10500])
+def test_locate_points_matches_the_column_loop_reference(data_size, mesh500, rng):
+    # target vertices, random points of the disk and circle points, some of
+    # which only the nudge locates: the same triangles and barycentrics, bit
+    # for bit, as the per-call tree tested one candidate column at a time
+    mesh = generate_disk_mesh(data_size)
+    theta = rng.uniform(0.0, 2.0 * math.pi, 400)
+    radius = np.append(np.sqrt(rng.uniform(0.0, 1.0, 200)), np.ones(200))
+    disk = radius[:, None] * np.column_stack([np.cos(theta), np.sin(theta)])
+    pts = np.vstack([mesh500.vertices, disk])
+    tri_idx, bary = locate_points(mesh, pts)
+    assert np.max(np.abs(_located(mesh, tri_idx, bary) - pts)) > 1e-9
+    ref_idx, ref_bary = reference.locate_points(mesh, pts)
+    assert tri_idx.dtype == ref_idx.dtype and bary.shape == ref_bary.shape
+    assert tri_idx.tobytes() == ref_idx.tobytes()
+    assert bary.tobytes() == ref_bary.tobytes()
+
+
+def test_locate_points_of_no_points(mesh500):
+    tri_idx, bary = locate_points(mesh500, np.zeros((0, 2)))
+    assert tri_idx.shape == (0,) and bary.shape == (0, 3)
+    stack = np.ones((2, mesh500.num_vertices))
+    assert interpolate(mesh500, stack, np.zeros((0, 2))).shape == (2, 0)
+
+
 def test_points_outside_the_disk_raise(mesh2000, mesh500, rng):
     values = rng.standard_normal((3, mesh2000.num_vertices))
     pts = np.vstack([mesh500.vertices, [[1.5, 0.0], [0.0, -2.0]]])
