@@ -2,10 +2,14 @@
 the arrays of fixed-seed library runs.
 
 Runs ``phantom``, ``simulate``, ``reconstruct``, ``svd`` and
-``condition-table`` at small mesh sizes in a temporary directory. Every
-CLI setting is pinned: a flag, or the config section of a command that
-reads it, sets it, to a non-default value where the runs allow. It then
-prints one ``<sha256>  <path>`` line per written file, in path order.
+``condition-table`` at small mesh sizes in a temporary directory. In all
+runs but the last two, every CLI setting is pinned: a flag, or the
+config section of a command that reads it, sets it, to a non-default
+value where the runs allow. The two last runs, ``phantom`` into
+``phantom_default`` and ``reconstruct`` of the ``trig`` data into
+``trig/recon_default``, take no config and set only sizes and paths,
+so a wrong default changes their lines. It then prints one
+``<sha256>  <path>`` line per written file, in path order.
 ``condition-table`` runs twice, the second time with ``--truncate 40``,
 so the grid's SVD of a square triangle has a line too.
 The commands' own messages go to stderr. One ``reconstruct`` runs in
@@ -76,7 +80,7 @@ mesh_vertices = 150
 
 L2_CONFIG = CONFIG.replace("beta1 = 2e-3\nbeta2 = 1e-5", "beta1 = 0\nbeta2 = 0")
 
-# (config, argv) of each command, in order.
+# (config, argv) of each command, in order; a config of None passes no --config.
 COMMANDS = (
     ("cli.ini", ["phantom", "--out", "phantom"]),
     ("cli.ini",
@@ -87,6 +91,8 @@ COMMANDS = (
     ("cli.ini", ["svd", "--alpha", "pi", "--measurements", "2", "--out", "svd"]),
     ("cli.ini", ["condition-table", "--out", "table"]),
     ("cli.ini", ["condition-table", "--truncate", "40", "--out", "table_truncated"]),
+    (None, ["phantom", "--mesh-vertices", "400", "--out", "phantom_default"]),
+    (None, ["reconstruct", "--data", "trig", "--out", "trig/recon_default"]),
 )
 
 
@@ -197,7 +203,8 @@ def run() -> int:
                     fp.write(text)
             for config, argv in COMMANDS:
                 with contextlib.redirect_stdout(sys.stderr):
-                    code = main([argv[0], "--config", configs[config], *argv[1:]])
+                    config_argv = ["--config", configs[config]] if config else []
+                    code = main([argv[0], *config_argv, *argv[1:]])
                 if code != 0:
                     print(f"{' '.join(argv)} exited with {code}", file=sys.stderr)
                     return code

@@ -1,10 +1,10 @@
 """Command-line front end for the reconstruction pipeline.
 
 Subcommands: ``phantom``, ``simulate``, ``reconstruct``, ``svd``, and
-``condition-table``. ``_SETTINGS`` gives each parameter its parser,
-default, commands and optional flag. A value comes from the default, an
-INI-style config file (``[common]``, then the command's section) or a
-flag, and is parsed once. Angles accept ``pi`` expressions such as
+``condition-table``. ``_SETTINGS`` gives each parameter its parser, typed
+default (the library's, where it has one), commands and optional flag. A
+value comes from the default, an INI config (``[common]``, then the
+command's section) or a flag. Angles accept ``pi`` expressions such as
 ``3pi/2``. All commands are deterministic for a fixed config and seed.
 """
 
@@ -17,7 +17,6 @@ import operator
 import os
 import re
 import sys
-from itertools import zip_longest
 from typing import Callable, NamedTuple
 
 from . import fileio
@@ -25,7 +24,7 @@ from .fem import InnerProductSpec, NodalField
 from .forward import FAMILIES, MeasurementSet, determinant_diagnostic, simulate_data
 from .illposed import assemble_transfer_matrix, condition_table, svd_analyze
 from .inversion import ReconstructionConfig, add_noise, run_landweber
-from .mesh import BoundaryArc, generate_disk_mesh
+from .mesh import FULL_CIRCLE, BoundaryArc, generate_disk_mesh
 from .phantom import Crescent, Disc, Inclusion, PhantomSpec, default_phantom, phantom_field
 
 
@@ -80,6 +79,16 @@ _float = _finite(_typed(float, "a number"))
 _angle = _finite(_typed(parse_angle, "an angle"))
 
 
+def _arc_angle(text: str) -> float:
+    """An angle that ``BoundaryArc`` accepts, so that the library owns the bound."""
+    alpha = _angle(text)
+    try:
+        BoundaryArc(alpha)
+    except ValueError as exc:
+        raise ValueError(f"is not an arc angle ({exc})") from None
+    return alpha
+
+
 def _choice(noun: str, words: dict) -> Callable[[str], object]:
     """Parser of a case-insensitive word, one of the keys of ``words``."""
 
@@ -116,20 +125,16 @@ def _bounded(relation: str, low: int, parse: Callable[[str], object]) -> Callabl
     return parse_bounded
 
 
-def _optional_count(text: str) -> int | None:
-    return _bounded(">=", 1, _int)(text) if text.strip() else None
+_count = _bounded(">=", 1, _int)
 
 
 def _rank_list(text: str) -> tuple[int, ...]:
     """Comma-separated 1-based ranks."""
-    rank = _bounded(">=", 1, _int)
-    return tuple(_entry(rank, item) for item in text.split(",") if item.strip())
+    return tuple(_entry(_count, item) for item in text.split(",") if item.strip())
 
 
 def _inclusions(text: str) -> tuple[Inclusion, ...]:
-    """``disc``/``crescent`` specs separated by ``;``, or ``default``."""
-    if text.strip() == "default":
-        return default_phantom().inclusions
+    """``disc``/``crescent`` specs separated by ``;``."""
     inclusions = []
     for chunk in filter(None, (c.strip() for c in text.split(";"))):
         kind, *words = chunk.split()
@@ -152,7 +157,7 @@ def _inclusions(text: str) -> tuple[Inclusion, ...]:
 
 class _Setting(NamedTuple):
     parse: Callable[[str], object]
-    default: str
+    default: object
     commands: tuple[str, ...]
     flag: str | None = None  # help of the flag --<key with dashes>, if any
 
@@ -162,30 +167,32 @@ _PHANTOM = ("phantom", "simulate", "svd", "condition-table")
 _MEASURE = ("simulate", "svd")
 _RECON = ("reconstruct",)
 _FAMILIES = {name: name for name in FAMILIES}
+# The defaults that the library owns: Landweber's, the inner product's and the phantom's.
+_RUN, _SPEC, _DEFAULT_PHANTOM = ReconstructionConfig(), InnerProductSpec(), default_phantom()
 
 # Every parameter. A config section or a subcommand accepts a key only
 # if its command reads it; [common] accepts every key.
 _SETTINGS = {
-    "mesh_vertices": _Setting(_bounded(">=", 4, _int), "2000", _PHANTOM, "vertices of the mesh"),
-    "fine_vertices": _Setting(_bounded(">=", 4, _int), "40000", ("simulate",)),
-    "alpha": _Setting(_angle, "2pi", _MEASURE, "accessible arc angle, e.g. 3pi/2"),
-    "measurements": _Setting(_bounded(">=", 1, _int), "3", _MEASURE, "number of boundary currents"),
+    "mesh_vertices": _Setting(_bounded(">=", 4, _int), 2000, _PHANTOM, "vertices of the mesh"),
+    "fine_vertices": _Setting(_bounded(">=", 4, _int), 40000, ("simulate",)),
+    "alpha": _Setting(_arc_angle, FULL_CIRCLE.alpha, _MEASURE, "accessible arc angle, e.g. 3pi/2"),
+    "measurements": _Setting(_count, 3, _MEASURE, "number of boundary currents"),
     "family": _Setting(_choice("a family", _FAMILIES), "trig", _MEASURE, "trig or special"),
-    "beta1": _Setting(_bounded(">=", 0, _float), "1e-3", _RECON),
-    "beta2": _Setting(_bounded(">=", 0, _float), "1e-6", _RECON),
-    "tau": _Setting(_bounded(">=", 1, _float), "1.0", _RECON, "discrepancy multiplier"),
-    "noise": _Setting(_bounded(">=", 0, _float), "0.0", ("simulate",), "relative noise level"),
-    "seed": _Setting(_bounded(">=", 0, _int), "0", ("simulate",), "noise RNG seed"),
-    "max_iter": _Setting(_bounded(">=", 1, _int), "1000", _RECON, "Landweber iteration limit"),
-    "sigma0": _Setting(_float, "1.5", _RECON),
-    "sigma_floor": _Setting(_bounded(">", 0, _float), "0.1", _RECON),
-    "safeguard": _Setting(_bool, "true", _RECON),
-    "background": _Setting(_bounded(">", 0, _float), "1.0", _PHANTOM),
-    "inclusions": _Setting(_inclusions, "default", _PHANTOM),
+    "beta1": _Setting(_bounded(">=", 0, _float), _SPEC.beta1, _RECON),
+    "beta2": _Setting(_bounded(">=", 0, _float), _SPEC.beta2, _RECON),
+    "tau": _Setting(_bounded(">=", 1, _float), _RUN.tau, _RECON, "discrepancy multiplier"),
+    "noise": _Setting(_bounded(">=", 0, _float), 0.0, ("simulate",), "relative noise level"),
+    "seed": _Setting(_bounded(">=", 0, _int), 0, ("simulate",), "noise RNG seed"),
+    "max_iter": _Setting(_count, _RUN.max_iter, _RECON, "Landweber iteration limit"),
+    "sigma0": _Setting(_float, _RUN.sigma0, _RECON),
+    "sigma_floor": _Setting(_bounded(">", 0, _float), _RUN.sigma_floor, _RECON),
+    "safeguard": _Setting(_bool, _RUN.safeguard, _RECON),
+    "background": _Setting(_bounded(">", 0, _float), _DEFAULT_PHANTOM.background, _PHANTOM),
+    "inclusions": _Setting(_inclusions, _DEFAULT_PHANTOM.inclusions, _PHANTOM),
     "out": _Setting(str, "out", _ALL, "output directory"),
     "data": _Setting(str, "", _RECON, "directory with simulated data (default: --out)"),
-    "truncate": _Setting(_optional_count, "", ("svd", "condition-table"), "singular values kept"),
-    "svd_vectors": _Setting(_rank_list, "", ("svd",)),
+    "truncate": _Setting(_count, None, ("svd", "condition-table"), "singular values kept"),
+    "svd_vectors": _Setting(_rank_list, (), ("svd",)),
 }
 
 # The settings that simulate records in data_info.txt, and the keys of
@@ -207,27 +214,24 @@ def _read_config(path: str) -> dict[str, dict]:
     """Typed values of each section of the config at ``path``. A section must
     be [common] or a command, and a command's section may hold only keys it reads.
     """
-    parser = configparser.ConfigParser(interpolation=None)
     try:
-        with open(path) as fp:
-            parser.read_file(fp)
+        texts = fileio.read_ini(path)
     except FileNotFoundError:
         raise CliError(f"config file not found: {path}") from None
-    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
-        raise CliError(f"cannot read config file {path}: {exc}") from None
+    except (OSError, ValueError) as exc:
+        # fileio's ValueError names the path; its cause is the reason
+        raise CliError(f"cannot read config file {path}: {exc.__cause__ or exc}") from None
     sections = {}
-    # configparser lists no [DEFAULT] section; its keys would reach every section
-    for section in [parser.default_section] * bool(parser.defaults()) + parser.sections():
+    for section, items in texts.items():
         if section != "common" and section not in _ALL:
             raise CliError(f"{path}: unknown section [{section}] (expected [common] or a command)")
         values = sections[section] = {}
-        for key, text in parser[section].items():
+        for key, text in items.items():
             if key not in _SETTINGS:
                 raise CliError(f"{path}, section [{section}]: unknown key {key!r}")
             if section != "common" and section not in _SETTINGS[key].commands:
                 raise CliError(f"{path}, section [{section}]: {section} does not read {key!r}")
-            where = f", in section [{section}]"
-            values[key] = _parse(_SETTINGS[key].parse, key, text, path, where)
+            values[key] = _parse(_SETTINGS[key].parse, key, text, path, f", in section [{section}]")
     return sections
 
 
@@ -236,7 +240,7 @@ def load_settings(command: str, args: argparse.Namespace) -> dict:
     config's [common] and [command] sections, then the flags.
     """
     sections = _read_config(args.config) if args.config else {}
-    settings = {key: s.parse(s.default) for key, s in _SETTINGS.items() if command in s.commands}
+    settings = {key: s.default for key, s in _SETTINGS.items() if command in s.commands}
     sources = dict.fromkeys(settings, "default")
     for section in ("common", command):
         values = sections.get(section, {})
@@ -246,9 +250,8 @@ def load_settings(command: str, args: argparse.Namespace) -> dict:
     for key in settings:
         text = getattr(args, key, None)
         if text is not None:
-            flag = "--" + key.replace("_", "-")
-            settings[key] = _parse(_SETTINGS[key].parse, key, text, f"flag {flag}")
-            sources[key] = f"flag {flag}"
+            sources[key] = f"flag --{key.replace('_', '-')}"
+            settings[key] = _parse(_SETTINGS[key].parse, key, text, sources[key])
     # The one bound between two keys: the start must be admissible.
     if "sigma0" in settings and settings["sigma0"] < settings["sigma_floor"]:
         raise CliError(
@@ -340,10 +343,7 @@ def cmd_reconstruct(settings: dict) -> int:
     ms = make_measurement_set(info)
     mesh = generate_disk_mesh(info["mesh_vertices"])
     mesh_path = os.path.join(data_dir, "mesh.txt")
-    with fileio._open_text(mesh_path) as fp:
-        pairs = zip_longest(fp, fileio.mesh_text(mesh).splitlines(keepends=True))
-        lineno = next((n for n, (got, want) in enumerate(pairs, start=1) if got != want), 0)
-    if lineno:
+    if lineno := fileio.mesh_text_mismatch(mesh_path, mesh):
         raise CliError(
             f"{mesh_path}, line {lineno}: differs from the mesh that mesh_vertices = "
             f"{info['mesh_vertices']} generates"

@@ -167,21 +167,26 @@ def assemble_boundary_load(
 
     ``g`` is evaluated at the polar angle of each quadrature point. Emits
     ``CompatibilityWarning`` when the total flux fails to vanish relative
-    to the load norm; the zero-mean solver projects such loads anyway.
+    to the load norm; the zero-mean solver projects such loads anyway. An
+    arc that holds no boundary edge midpoint of the mesh raises ``ValueError``.
     """
     b = np.zeros(mesh.num_vertices)
     idx = accessible_boundary_edges(mesh, arc)
-    if idx.size:
-        edges = mesh.boundary_edges[idx]
-        p0 = mesh.vertices[edges[:, 0]]
-        p1 = mesh.vertices[edges[:, 1]]
-        lengths = np.linalg.norm(p1 - p0, axis=1)
-        for t in _GAUSS2:
-            pts = p0 + t * (p1 - p0)
-            theta = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * np.pi)
-            vals = np.asarray(g(theta)) * lengths / 2.0
-            np.add.at(b, edges[:, 0], (1.0 - t) * vals)
-            np.add.at(b, edges[:, 1], t * vals)
+    if not idx.size:
+        raise ValueError(
+            f"the arc alpha = {arc.alpha!r} holds no boundary edge of the mesh: its first "
+            f"edge midpoint lies at angle {float(mesh.boundary_edge_angles.min())!r}"
+        )
+    edges = mesh.boundary_edges[idx]
+    p0 = mesh.vertices[edges[:, 0]]
+    p1 = mesh.vertices[edges[:, 1]]
+    lengths = np.linalg.norm(p1 - p0, axis=1)
+    for t in _GAUSS2:
+        pts = p0 + t * (p1 - p0)
+        theta = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * np.pi)
+        vals = np.asarray(g(theta)) * lengths / 2.0
+        np.add.at(b, edges[:, 0], (1.0 - t) * vals)
+        np.add.at(b, edges[:, 1], t * vals)
     total = abs(b.sum())
     norm = np.linalg.norm(b)
     if norm > 0.0 and total > 1e-8 * norm:

@@ -8,9 +8,11 @@ output.
 
 from __future__ import annotations
 
+import configparser
 import contextlib
 import math
 import os
+from itertools import zip_longest
 
 import numpy as np
 
@@ -25,12 +27,12 @@ def _fmt(x: float) -> str:
 
 @contextlib.contextmanager
 def _open_text(path):
-    """``open(path)`` for reading; text that does not decode raises ``ValueError`` naming it."""
+    """Open ``path``; text that fails to decode or to parse as INI is a ``ValueError`` naming it."""
     with open(path) as fp:
         try:
             yield fp
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"cannot read {path}: {exc}") from None
+        except (UnicodeDecodeError, configparser.Error) as exc:
+            raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
 def _floats(values) -> list[float]:
@@ -108,6 +110,13 @@ def mesh_text(mesh: Mesh) -> str:
     )
 
 
+def mesh_text_mismatch(path, mesh: Mesh) -> int:
+    """Number of the first line of the file ``path`` that differs from ``mesh_text(mesh)``, or 0."""
+    with _open_text(path) as fp:
+        pairs = zip_longest(fp, mesh_text(mesh).splitlines(keepends=True))
+        return next((n for n, (got, want) in enumerate(pairs, start=1) if got != want), 0)
+
+
 def write_mesh(path, mesh: Mesh) -> None:
     """Write ``mesh_text(mesh)`` to ``path``."""
     with open(path, "w") as fp:
@@ -172,23 +181,24 @@ def write_key_values(path, section: str, entries: dict) -> None:
             fp.write(f"{key} = {val}\n")
 
 
-def read_key_values(path, section: str) -> dict:
-    """Keys of one section of a file written by ``write_key_values``.
+def read_ini(path) -> dict[str, dict[str, str]]:
+    """``{section: {key: text}}`` of an INI file; ``[DEFAULT]`` is listed if it holds keys.
 
-    A file that is not INI text, or that lacks the section, raises
-    ``ValueError`` naming the file. A ``%`` in a value is plain text.
+    ``%`` is plain text; non-INI text raises ``ValueError`` naming the file, caused by the reason.
     """
-    import configparser
-
     parser = configparser.ConfigParser(interpolation=None)
-    try:
-        with _open_text(path) as fp:
-            parser.read_file(fp)
-    except configparser.Error as exc:
-        raise ValueError(f"cannot read {path}: {exc}") from None
-    if not parser.has_section(section):
+    with _open_text(path) as fp:
+        parser.read_file(fp)
+    names = [parser.default_section] * bool(parser.defaults()) + parser.sections()
+    return {name: dict(parser[name]) for name in names}
+
+
+def read_key_values(path, section: str) -> dict:
+    """Keys of one section of a ``write_key_values`` file; ``ValueError`` if it lacks it."""
+    sections = read_ini(path)
+    if section not in sections:
         raise ValueError(f"{path} has no [{section}] section")
-    return dict(parser[section])
+    return sections[section]
 
 
 def ensure_dir(path) -> str:

@@ -424,8 +424,9 @@ def locate_points(mesh: Mesh, points: np.ndarray):
     between the circle and a boundary chord of length L lies outside the
     mesh polygon, by at most the sagitta 1 - sqrt(1 - L^2/4) <= L^2/4, so
     a missed point is shrunk toward the origin by L^2/4 of the longest
-    chord and tried again. A point that no triangle holds even then
-    raises ``ValueError`` naming how many points missed and the first.
+    chord and tried again. A point that no triangle holds even then, or
+    that is not finite, raises ``ValueError`` naming how many points
+    missed and the first.
 
     Returns
     -------
@@ -455,13 +456,15 @@ def locate_points(mesh: Mesh, points: np.ndarray):
         tri_idx[rows[hit]] = cand[hit, first]
         bary[rows[hit]] = np.stack([l0, l1, l2], axis=-1)[hit, first]
 
-    try_assign(points, np.arange(n), k=min(8, mesh.num_triangles), tol=1e-12)
+    finite = np.isfinite(points).all(axis=1)
+    try_assign(points[finite], np.flatnonzero(finite), k=min(8, mesh.num_triangles), tol=1e-12)
     miss = np.flatnonzero(tri_idx < 0)
     if miss.size:
         ends = mesh.vertices[mesh.boundary_edges]
         chords = ends[:, 1] - ends[:, 0]
         shrink = float(np.max(np.einsum("bd,bd->b", chords, chords))) / 4.0
-        try_assign(points[miss] * (1.0 - shrink), miss, k=min(32, mesh.num_triangles), tol=1e-9)
+        retry = miss[finite[miss]]
+        try_assign(points[retry] * (1.0 - shrink), retry, k=min(32, mesh.num_triangles), tol=1e-9)
         miss = np.flatnonzero(tri_idx < 0)
     if miss.size:
         x, y = points[miss[0]].tolist()
@@ -477,9 +480,14 @@ def interpolate(mesh: Mesh, values: np.ndarray, points: np.ndarray) -> np.ndarra
     ``values`` is one field (V,) or an (M, V) stack of fields, one per
     row; the result is (N,) or (M, N). The points are located once, and
     each row is evaluated exactly as a single field would be. A point
-    outside the disk raises ``ValueError`` (``locate_points``).
+    outside the disk raises ``ValueError`` (``locate_points``), as does a
+    row whose length is not the mesh's vertex count.
     """
     values = np.asarray(values)
+    if values.shape[-1:] != (mesh.num_vertices,):
+        raise ValueError(
+            f"a field on this mesh has {mesh.num_vertices} values, got shape {values.shape}"
+        )
     tri_idx, bary = locate_points(mesh, points)
     corner = mesh.triangles[tri_idx]
     rows = values.reshape(-1, values.shape[-1])

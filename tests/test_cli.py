@@ -8,7 +8,7 @@ import pytest
 
 from aet2d import cli, fileio
 from aet2d.cli import CliError, build_parser, main, parse_angle
-from aet2d.fem import ZeroMeanSolver
+from aet2d.fem import CompatibilityWarning, ZeroMeanSolver
 from aet2d.mesh import generate_disk_mesh
 from reference import read_iteration_log
 
@@ -348,6 +348,26 @@ def test_reconstruct_rejects_a_mesh_that_differs(sim_dir, tmp_path, capsys):
         assert not (tmp_path / "r").exists()
 
 
+def test_an_arc_that_holds_no_edge_of_the_mesh_exits_2(tmp_path, capsys):
+    # the first boundary edge midpoint of the 49- and 61-vertex meshes lies
+    # at 2pi/48 = 0.131; its currents would all be zero
+    assert run_cli("svd", "--alpha", "0.001", "--mesh-vertices", 50, "--out", tmp_path / "svd") == 2
+    err = capsys.readouterr().err
+    assert "error: the arc alpha = 0.001 holds no boundary edge of the mesh: its first " in err
+    assert f"at angle {math.pi / 24!r}" in err
+    assert not (tmp_path / "svd").exists()
+    # the 2998-vertex data mesh holds edges of [0, 0.1], so simulate runs;
+    # on so few edges the currents' quadrature leaves a nonzero flux
+    sim = tmp_path / "sim"
+    argv = ("--mesh-vertices", 60, "--alpha", "0.1", "--out", sim, "--config", _fine_config(tmp_path))
+    with pytest.warns(CompatibilityWarning):
+        assert run_cli("simulate", *argv) == 0
+    capsys.readouterr()
+    assert run_cli("reconstruct", "--data", sim, "--out", tmp_path / "r", "--max-iter", 1) == 2
+    assert "error: the arc alpha = 0.1 holds no boundary edge of the mesh" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_reconstruct_requires_data(tmp_path, capsys):
     code = run_cli("reconstruct", "--data", tmp_path / "nowhere", "--out", tmp_path / "r")
     assert code == 2
@@ -610,6 +630,7 @@ def test_reconstruct_rejects_data_info_without_a_section_header(sim_dir, tmp_pat
         ("reconstruct", "max_iter", "0", "must be >= 1"),
         ("reconstruct", "sigma0", "inf", "is not a finite number"),
         ("simulate", "alpha", "-inf", "is not a finite number"),
+        ("svd", "alpha", "0", "is not an arc angle (arc angle must lie in (0, 2*pi], got 0.0)"),
         ("simulate", "fine_vertices", "3", "must be >= 4"),
         ("svd", "measurements", "0", "must be >= 1"),
         ("phantom", "background", "0", "must be > 0"),
@@ -647,6 +668,8 @@ def test_every_config_section_is_parsed_when_it_loads(tmp_path, capsys, section,
         ("reconstruct", "--tau", "0.99", "must be >= 1"),
         ("reconstruct", "--max-iter", "0", "must be >= 1"),
         ("simulate", "--alpha", "inf", "is not a finite number"),
+        ("svd", "--alpha", "7", "is not an arc angle (arc angle must lie in (0, 2*pi], got 7.0)"),
+        ("simulate", "--alpha", "-1", "is not an arc angle (arc angle must lie in (0, 2*pi], got -1.0)"),
         ("simulate", "--noise", "nan", "is not a finite number"),
     ],
 )

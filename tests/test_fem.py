@@ -182,6 +182,15 @@ def test_boundary_load_incompatible_warns(mesh500):
         )
 
 
+def test_an_arc_that_holds_no_boundary_edge_raises(mesh500):
+    # its currents would all be zero: the 500-vertex mesh's first boundary
+    # edge midpoint lies at 2pi/152 = 0.0413, beyond alpha = 0.01
+    first = float(mesh500.boundary_edge_angles.min())
+    message = rf"^the arc alpha = 0\.01 holds no boundary edge of the mesh: .* at angle {first!r}$"
+    with pytest.raises(ValueError, match=message):
+        assemble_boundary_load(mesh500, np.sin, BoundaryArc(0.01))
+
+
 def test_limited_angle_load_vanishes_off_arc(mesh500):
     arc = BoundaryArc(math.pi / 2)
     b = assemble_boundary_load(mesh500, lambda th: np.sin(4.0 * th), arc)

@@ -184,3 +184,27 @@ def test_key_values_roundtrip(tmp_path):
     assert float(back["alpha"]) == 3.141592653589793
     assert int(back["seed"]) == 7
     assert back["family"] == "trig"
+
+
+def test_read_ini_gives_the_text_of_every_section(tmp_path):
+    path = tmp_path / "config.ini"
+    path.write_text("[DEFAULT]\n[common]\nnoise = 5%\n[svd]\n")
+    assert fileio.read_ini(path) == {"common": {"noise": "5%"}, "svd": {}}
+    path.write_text("[DEFAULT]\nmax_iter = 5\n")
+    assert fileio.read_ini(path) == {"DEFAULT": {"max_iter": "5"}}
+    path.write_text("noise = 0.05\n")
+    with pytest.raises(ValueError, match=f"^cannot read {path}: File contains no section") as info:
+        fileio.read_ini(path)
+    assert str(info.value.__cause__).startswith("File contains no section headers")
+
+
+def test_mesh_text_mismatch_names_the_first_differing_line(tmp_path):
+    mesh = generate_disk_mesh(60)
+    path = tmp_path / "mesh.txt"
+    fileio.write_mesh(path, mesh)
+    assert fileio.mesh_text_mismatch(path, mesh) == 0
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:3] + ["0.5 0.5\n"] + lines[4:]))
+    assert fileio.mesh_text_mismatch(path, mesh) == 4
+    path.write_text("".join(lines[:-1]))
+    assert fileio.mesh_text_mismatch(path, mesh) == len(lines)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -183,6 +184,27 @@ def test_points_outside_the_disk_raise(mesh2000, mesh500, rng):
     for field in (values, values[0]):
         with pytest.raises(ValueError, match=message):
             interpolate(mesh2000, field, pts)
+
+
+def test_a_non_finite_point_is_named_like_a_point_outside_the_disk(mesh200):
+    # not scipy's "'x' must be finite" from the centroid tree
+    values = np.zeros(mesh200.num_vertices)
+    for bad, shown in ((math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")):
+        pts = np.array([[0.1, 0.2], [0.0, bad], [0.3, -0.1]])
+        message = rf"^1 of 3 points lie outside the unit disk, the first at \(0\.0, {shown}\)$"
+        with pytest.raises(ValueError, match=message):
+            locate_points(mesh200, pts)
+        with pytest.raises(ValueError, match=message):
+            interpolate(mesh200, values, pts)
+
+
+def test_interpolate_rejects_a_field_of_another_length(mesh200):
+    # V + 5 entries read the first V silently; V - 1 raised an IndexError
+    v = mesh200.num_vertices
+    for shape in ((v + 5,), (v - 1,), (2, v + 5), ()):
+        message = rf"^a field on this mesh has {v} values, got shape {re.escape(str(shape))}$"
+        with pytest.raises(ValueError, match=message):
+            interpolate(mesh200, np.zeros(shape), mesh200.vertices)
 
 
 @pytest.mark.parametrize("data_size", [4, 5, 7, 10, 50, 200, 800, 3000])
