@@ -29,7 +29,10 @@ of ``svd_analyze`` with vectors (1, 100) on the condition-grid bench's
 shape (three measurements, alpha = pi), at the library mesh size.
 Then come ``<sha256>  mesh/<n>/<array>`` lines for the four arrays of
 ``generate_disk_mesh(n)`` at the bench's mesh sizes, the 40000-vertex
-data mesh included, each hashed with its dtype and shape. The last four
+data mesh included, each hashed with its dtype and shape, and after
+each mesh's four a ``pattern/<n>/indptr`` and ``pattern/<n>/indices``
+line for the sparsity pattern of its stiffness matrix: a change to how
+entries are summed moves value lines but not these. The last four
 lines, ``bench_data/<angle>``, hash the data that ``simulate_data``
 transfers at the bench's own sizes, as the sweep makes them: the default
 phantom on 2000 vertices from one 40000-vertex data mesh, trig currents
@@ -157,16 +160,24 @@ def library_digests():
     return out
 
 
+def _typed_sha(a):
+    """sha256 of an array's dtype, shape and bytes."""
+    h = hashlib.sha256(f"{a.dtype.str} {a.shape}".encode())
+    h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
 def mesh_digests():
-    """(label, sha256) of the arrays of ``generate_disk_mesh`` at ``MESH_SIZES``."""
+    """(label, sha256) of the arrays of ``generate_disk_mesh`` at ``MESH_SIZES``,
+    each mesh followed by the sparsity pattern of its stiffness matrix."""
     out = []
     for n in MESH_SIZES:
         mesh = aet2d.generate_disk_mesh(n)
         for name in MESH_ARRAYS:
-            a = getattr(mesh, name)
-            h = hashlib.sha256(f"{a.dtype.str} {a.shape}".encode())
-            h.update(np.ascontiguousarray(a).tobytes())
-            out.append((f"mesh/{n}/{name}", h.hexdigest()))
+            out.append((f"mesh/{n}/{name}", _typed_sha(getattr(mesh, name))))
+        k = aet2d.assemble_stiffness(mesh, aet2d.NodalField.constant(mesh, 1.0))
+        for name in ("indptr", "indices"):
+            out.append((f"pattern/{n}/{name}", _typed_sha(getattr(k, name))))
     return out
 
 

@@ -8,7 +8,8 @@ Conventions used throughout the package:
 * every global matrix (stiffness, weighted mass) is scattered from its
   (T, 3, 3) local blocks by ``Mesh.scatter`` over the mesh's cached
   ``assembly_plan``, so reassembly only recomputes the data array; the
-  result is bit for bit the matrix ``coo_matrix(...).tocsr()`` builds;
+  matrix has the canonical CSR pattern (sorted columns, no duplicates),
+  and each entry sums its element contributions in element order;
 * the mass matrix is the mesh's cached ``Mesh.mass``; it is the one
   data-space inner product, and ``norm_sq`` is its (stacked) norm;
 * the hat-function integrals int phi_i are the mesh's cached
@@ -171,13 +172,7 @@ def assemble_boundary_load(
     arc that holds no boundary edge midpoint of the mesh raises ``ValueError``.
     """
     b = np.zeros(mesh.num_vertices)
-    idx = accessible_boundary_edges(mesh, arc)
-    if not idx.size:
-        raise ValueError(
-            f"the arc alpha = {arc.alpha!r} holds no boundary edge of the mesh: its first "
-            f"edge midpoint lies at angle {float(mesh.boundary_edge_angles.min())!r}"
-        )
-    edges = mesh.boundary_edges[idx]
+    edges = mesh.boundary_edges[accessible_boundary_edges(mesh, arc)]
     p0 = mesh.vertices[edges[:, 0]]
     p1 = mesh.vertices[edges[:, 1]]
     lengths = np.linalg.norm(p1 - p0, axis=1)
@@ -253,10 +248,9 @@ def _spd_factor(a: sparse.csr_matrix):
     pattern, with sorted indices, so that its CSR arrays are its CSC
     arrays and are handed to SuperLU as they are, without a conversion.
     Every matrix assembled by ``Mesh.scatter`` on a conforming P1 mesh
-    is: an off-diagonal entry (i, j) sums the terms of the at most two
-    triangles that share the edge ij, and a two-term floating-point sum
-    does not depend on its order. The Gram matrices are symmetrized
-    explicitly.
+    is: its local blocks are symmetric, and entries (i, j) and (j, i) sum
+    the same terms in the same (element) order. The Gram matrices are
+    symmetrized explicitly.
     """
     return splu(
         sparse.csc_matrix((a.data, a.indices, a.indptr), shape=a.shape),

@@ -33,7 +33,7 @@ from scipy import sparse
 
 from . import fem
 from .fem import NodalField, ZeroMeanSolver, assemble_boundary_load, assemble_stiffness
-from .mesh import FULL_CIRCLE, BoundaryArc, Mesh, interpolate, rowwise
+from .mesh import FULL_CIRCLE, BoundaryArc, Mesh, accessible_boundary_edges, interpolate, rowwise
 from .phantom import PhantomSpec, phantom_field
 
 FAMILIES = ("trig", "special")
@@ -238,7 +238,10 @@ def simulate_data(spec: PhantomSpec, ms: MeasurementSet, recon_mesh: Mesh, fine_
     several arcs of one phantom cost one factorization and are
     bit-identical to data made on a fresh mesh. Any other call releases
     the kept solver before it factorizes, so a data mesh holds at most
-    one factorization. The phantom must be positive everywhere.
+    one factorization. The phantom must be positive everywhere, and an
+    arc that holds no boundary edge of ``recon_mesh`` raises
+    ``ValueError`` (``accessible_boundary_edges``) before the data mesh
+    is touched.
 
     Returns
     -------
@@ -250,6 +253,7 @@ def simulate_data(spec: PhantomSpec, ms: MeasurementSet, recon_mesh: Mesh, fine_
         stack refers to ``fine_mesh``, so the mesh's kept solver lives
         while a caller keeps it.
     """
+    accessible_boundary_edges(recon_mesh, ms.arc)
     sigma_fine = phantom_field(spec, fine_mesh)
     # popped either way, so a solver that does not match is released before factorizing
     values, solver = _FINE_SOLVERS.pop(fine_mesh, (None, None))

@@ -103,10 +103,8 @@ def add_noise(data: NodalField, delta_rel: float, seed: int):
     values = data.values
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(values.shape)
-    # Each row's norm squared again, not norm_sq(mesh, values): the rounding
-    # of that round trip is part of the noise bits, which fixed seeds keep.
-    data_scale = np.sqrt(sum(np.sqrt(norm_sq(mesh, row)) ** 2 for row in values))
-    noise_scale = np.sqrt(sum(np.sqrt(norm_sq(mesh, row)) ** 2 for row in noise))
+    data_scale = math.sqrt(norm_sq(mesh, values))
+    noise_scale = math.sqrt(norm_sq(mesh, noise))
     delta_abs = delta_rel * data_scale
     noisy = values + delta_abs * noise / noise_scale
     return NodalField(mesh, noisy), float(delta_abs)

@@ -46,17 +46,16 @@ class AssemblyPlan(NamedTuple):
     """Fixed scatter of the 9T local element entries into a CSR matrix.
 
     Local entry k is (t, i, j) in C order of a (T, 3, 3) block array and
-    belongs to row ``triangles[t, i]``, column ``triangles[t, j]``. The
-    plan replays the summation order of ``coo_matrix(...).tocsr()``:
-    ``order`` lists the local entries in that order and ``slot`` gives
-    the CSR position each of them is added to, so
-    ``np.bincount(slot, weights=local.ravel()[order])`` returns the data
-    array that ``tocsr`` would, on the canonical ``indptr``/``indices``
-    (bincount starts each sum at +0.0, so an entry whose contributions
-    are all -0.0 comes out +0.0). All arrays are int32 and read-only.
+    belongs to row ``triangles[t, i]``, column ``triangles[t, j]``.
+    ``indptr``/``indices`` are the canonical pattern of those positions
+    (rows in order, each row's columns sorted, no duplicates), and
+    ``slot[k]`` is the position of entry k in it, so
+    ``np.bincount(slot, weights=local.ravel())`` sums each matrix entry's
+    element contributions in element order (bincount starts each sum at
+    +0.0, so an entry whose contributions are all -0.0 comes out +0.0).
+    All arrays are int32 and read-only.
     """
 
-    order: np.ndarray
     slot: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
@@ -68,7 +67,7 @@ class Mesh:
     Parameters
     ----------
     vertices : (V, 2) float array
-        Vertex coordinates; boundary vertices lie exactly on the unit circle.
+        Vertex positions (x, y); boundary vertices lie exactly on the unit circle.
     triangles : (T, 3) int array
         Vertex index triples, counterclockwise orientation.
     boundary_edges : (B, 2) int array
@@ -180,30 +179,18 @@ class Mesh:
     @cached_property
     def assembly_plan(self) -> AssemblyPlan:
         """Scatter plan of the global matrices; see ``AssemblyPlan``."""
-        t = self.triangles
+        t = self.triangles.astype(np.int64)
         v = self.num_vertices
-        rows = np.repeat(t, 3, axis=1).ravel()
-        cols = np.tile(t, 3).ravel()
-        # coo -> csr first buckets the entries by row, stably ...
-        order = np.argsort(rows, kind="stable").astype(np.int32)
-        bucket_ptr = np.zeros(v + 1, dtype=np.int32)
-        np.cumsum(np.bincount(rows, minlength=v), out=bucket_ptr[1:])
-        # ... then sorts each row by column with scipy's (unstable) sort,
-        # which fixes the order in which duplicates are summed. Running
-        # that sort on the entry ids reproduces its tie order.
-        bucketed = sparse.csr_matrix(
-            (order.astype(np.float64), cols[order], bucket_ptr), shape=(v, v)
-        )
-        bucketed.sort_indices()
-        order = bucketed.data.astype(np.int32)
-        sorted_rows = rows[order]
-        sorted_cols = bucketed.indices
-        new = np.ones(order.size, dtype=bool)
-        new[1:] = (sorted_rows[1:] != sorted_rows[:-1]) | (sorted_cols[1:] != sorted_cols[:-1])
-        slot = np.cumsum(new, dtype=np.int32) - 1
-        indptr = np.zeros(v + 1, dtype=np.int32)
-        np.cumsum(np.bincount(sorted_rows[new], minlength=v), out=indptr[1:])
-        plan = AssemblyPlan(order, slot, indptr, np.ascontiguousarray(sorted_cols[new]))
+        keys = (np.repeat(t, 3, axis=1) * v + np.tile(t, 3)).ravel()  # row * V + column
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        new = np.ones(keys.size, dtype=bool)
+        new[1:] = sorted_keys[1:] != sorted_keys[:-1]
+        slot = np.empty(keys.size, dtype=np.int32)
+        slot[order] = np.cumsum(new) - 1
+        distinct = sorted_keys[new]
+        indptr = np.searchsorted(distinct, np.arange(v + 1) * v).astype(np.int32)
+        plan = AssemblyPlan(slot, indptr, (distinct % v).astype(np.int32))
         for arr in plan:
             arr.setflags(write=False)
         return plan
@@ -211,12 +198,10 @@ class Mesh:
     def scatter(self, local: np.ndarray) -> sparse.csr_matrix:
         """(V, V) CSR sum of the (T, 3, 3) local blocks over the ``assembly_plan``.
 
-        Bit for bit what ``coo_matrix(...).tocsr()`` builds; shares the plan's index arrays.
+        Each entry sums its element contributions in element order; shares the plan's index arrays.
         """
         plan = self.assembly_plan
-        data = np.bincount(
-            plan.slot, weights=np.take(local.ravel(), plan.order), minlength=plan.indices.size
-        )
+        data = np.bincount(plan.slot, weights=local.ravel(), minlength=plan.indices.size)
         v = self.num_vertices
         matrix = sparse.csr_matrix((data, plan.indices, plan.indptr), shape=(v, v))
         matrix.has_canonical_format = True
@@ -412,12 +397,22 @@ def _validate(mesh: Mesh) -> None:
 
 
 def accessible_boundary_edges(mesh: Mesh, arc: BoundaryArc) -> np.ndarray:
-    """Indices of boundary edges whose midpoint angle lies in [0, alpha]."""
-    return np.flatnonzero(mesh.boundary_edge_angles <= arc.alpha)
+    """Indices of boundary edges whose midpoint angle lies in [0, alpha].
+
+    An arc that holds none, so that every current on it would be zero,
+    raises ``ValueError`` naming the angle of the first edge midpoint.
+    """
+    idx = np.flatnonzero(mesh.boundary_edge_angles <= arc.alpha)
+    if not idx.size:
+        raise ValueError(
+            f"the arc alpha = {arc.alpha!r} holds no boundary edge of the mesh: its first "
+            f"edge midpoint lies at angle {float(mesh.boundary_edge_angles.min())!r}"
+        )
+    return idx
 
 
 def locate_points(mesh: Mesh, points: np.ndarray):
-    """Find the containing triangle and barycentric coordinates of each point.
+    """Find the containing triangle and barycentric weights of each point.
 
     Every point of the closed unit disk is located, in the nearest of its
     candidates (the mesh's cached centroid KD-tree) that holds it. A point
@@ -433,7 +428,7 @@ def locate_points(mesh: Mesh, points: np.ndarray):
     tri_idx : (N,) int array
         Containing triangle per point.
     bary : (N, 3) float array
-        Barycentric coordinates in that triangle.
+        Barycentric weights of the point in that triangle.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     n = points.shape[0]

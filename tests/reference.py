@@ -9,6 +9,10 @@ with the nodal data basis triangle by triangle. None of them assembles a
 matrix, so they check the transfer matrix and the derivative
 independently of how the package forms them.
 
+``in_order_scatter`` sums the element blocks of a global matrix entry
+by entry in element order with ``np.add.at``, on the pattern of
+``coo_matrix(...).tocsr()``; it shares no code with the assembly plan.
+
 ``disk_mesh`` and the ``write_*`` functions build the mesh and the files
 one triangle, vertex or row at a time, with a two-pointer sweep over
 each ring pair and one ``fp.write`` per row. ``locate_points`` builds
@@ -18,6 +22,7 @@ an array at a time and must match them byte for byte.
 """
 
 import numpy as np
+from scipy import sparse
 
 from aet2d.fem import NodalField, triangle_average
 from aet2d.forward import ForwardState, gradient_on_triangles, project_to_vertices
@@ -30,6 +35,27 @@ def power_density(sigma: NodalField, u: NodalField) -> NodalField:
     grad = gradient_on_triangles(mesh, u.values)
     tri_vals = triangle_average(mesh, sigma.values) * np.einsum("td,td->t", grad, grad)
     return NodalField(mesh, project_to_vertices(mesh, tri_vals))
+
+
+def in_order_scatter(mesh: Mesh, local: np.ndarray) -> sparse.csr_matrix:
+    """(V, V) CSR sum of (T, 3, 3) local blocks, each entry summed in element order.
+
+    The pattern is that of ``coo_matrix(...).tocsr()``; local entry
+    (t, i, j) is added to the slot of (triangles[t, i], triangles[t, j]),
+    found by ``np.searchsorted`` over that matrix's own sorted keys
+    row * V + column.
+    """
+    t = mesh.triangles
+    v = mesh.num_vertices
+    rows = np.broadcast_to(t[:, :, None], local.shape).ravel()
+    cols = np.broadcast_to(t[:, None, :], local.shape).ravel()
+    pattern = sparse.coo_matrix((local.ravel(), (rows, cols)), shape=(v, v)).tocsr()
+    pattern_rows = np.repeat(np.arange(v, dtype=np.int64), np.diff(pattern.indptr))
+    keys = pattern_rows * v + pattern.indices
+    slots = np.searchsorted(keys, rows.astype(np.int64) * v + cols)
+    data = np.zeros(keys.size)
+    np.add.at(data, slots, local.ravel())
+    return sparse.csr_matrix((data, pattern.indices, pattern.indptr), shape=(v, v))
 
 
 def read_iteration_log(path):

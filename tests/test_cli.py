@@ -1,6 +1,7 @@
 import argparse
 import math
 import os
+import warnings
 import weakref
 
 import numpy as np
@@ -356,12 +357,23 @@ def test_an_arc_that_holds_no_edge_of_the_mesh_exits_2(tmp_path, capsys):
     assert "error: the arc alpha = 0.001 holds no boundary edge of the mesh: its first " in err
     assert f"at angle {math.pi / 24!r}" in err
     assert not (tmp_path / "svd").exists()
-    # the 2998-vertex data mesh holds edges of [0, 0.1], so simulate runs;
-    # on so few edges the currents' quadrature leaves a nonzero flux
+    # the 2998-vertex data mesh holds edges of [0, 0.1], but the data could
+    # not be reconstructed on 61 vertices: simulate stops before its solve
     sim = tmp_path / "sim"
     argv = ("--mesh-vertices", 60, "--alpha", "0.1", "--out", sim, "--config", _fine_config(tmp_path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", CompatibilityWarning)
+        assert run_cli("simulate", *argv) == 2
+    assert "error: the arc alpha = 0.1 holds no boundary edge of the mesh" in capsys.readouterr().err
+    assert not sim.exists()
+    # data made at an arc of 61 vertices, whose data_info.txt then names
+    # 0.1: reconstruct stops at the arc too; on so few edges the currents'
+    # quadrature leaves a nonzero flux
+    argv = ("--mesh-vertices", 60, "--alpha", "0.2", "--out", sim, "--config", _fine_config(tmp_path))
     with pytest.warns(CompatibilityWarning):
         assert run_cli("simulate", *argv) == 0
+    info = sim / "data_info.txt"
+    info.write_text(info.read_text().replace("alpha = 0.2\n", "alpha = 0.1\n"))
     capsys.readouterr()
     assert run_cli("reconstruct", "--data", sim, "--out", tmp_path / "r", "--max-iter", 1) == 2
     assert "error: the arc alpha = 0.1 holds no boundary edge of the mesh" in capsys.readouterr().err

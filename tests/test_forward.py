@@ -366,3 +366,21 @@ def test_simulate_data_deterministic(mesh200, fine3000):
     a, _ = simulate_data(spec, ms, mesh200, fine_mesh=fine3000)
     b, _ = simulate_data(spec, ms, mesh200, fine_mesh=fine3000)
     assert np.array_equal(a.values, b.values)
+
+
+def test_simulate_data_rejects_an_arc_without_a_reconstruction_edge_before_solving(
+    monkeypatch,
+):
+    # The first boundary edge midpoint of the 61-vertex mesh lies at
+    # 2pi/48 = 0.131, so no current on [0, 0.1] reaches it; the 500-vertex
+    # data mesh holds edges there, and is left untouched.
+    recon = generate_disk_mesh(60)
+    fine = generate_disk_mesh(500)
+    cached = set(vars(fine))
+    solvers, _ = _recorded_solvers(monkeypatch)
+    message = rf"^the arc alpha = 0\.1 holds no boundary edge of the mesh: .* at angle {math.pi / 24!r}$"
+    with pytest.raises(ValueError, match=message):
+        simulate_data(default_phantom(), MeasurementSet.trig(0.1), recon, fine)
+    assert solvers == []
+    assert set(vars(fine)) == cached
+    assert fine not in forward._FINE_SOLVERS

@@ -95,19 +95,19 @@ def test_add_noise_seed_behavior(desk_problem):
 
 def test_add_noise_bitwise_against_l2_gram_mass(desk_problem):
     # Reference: the same scaling with the L2 Gram matrix (the mass matrix),
-    # each row's norm taken as a Python float and squared again; the noisy
+    # the stacked norm taken as one sum of the rows' squared norms; the noisy
     # data and the noise level must match to the bit.
     _, data, _ = desk_problem
     noisy, delta = add_noise(data, 0.05, seed=20241)
     mass = GramSolver(data.mesh, InnerProductSpec.l2()).gram
 
-    def row_norm(row):
-        return float(np.sqrt(max(float(row @ (mass @ row)), 0.0)))
+    def stacked_norm(stack):
+        return math.sqrt(sum(float(row @ (mass @ row)) for row in stack))
 
     values = data.values
     noise = np.random.default_rng(20241).standard_normal(values.shape)
-    data_scale = np.sqrt(sum(row_norm(row) ** 2 for row in values))
-    noise_scale = np.sqrt(sum(row_norm(row) ** 2 for row in noise))
+    data_scale = stacked_norm(values)
+    noise_scale = stacked_norm(noise)
     expected_delta = 0.05 * data_scale
     assert delta == expected_delta
     assert np.array_equal(noisy.values, values + expected_delta * noise / noise_scale)

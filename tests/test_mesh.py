@@ -105,6 +105,14 @@ def test_accessible_edges_quarter_on_360_segment_boundary():
     assert abs(len(idx) - 90) <= 1
 
 
+def test_an_arc_that_holds_no_edge_raises():
+    # the first boundary edge midpoint of the 49-vertex mesh lies at 2pi/48
+    mesh = generate_disk_mesh(50)
+    msg = "the arc alpha = 0.1 holds no boundary edge of the mesh: its first edge midpoint "
+    with pytest.raises(ValueError, match=re.escape(f"{msg}lies at angle {math.pi / 24!r}")):
+        accessible_boundary_edges(mesh, BoundaryArc(0.1))
+
+
 def test_accessible_edges_nested(mesh500):
     small = set(accessible_boundary_edges(mesh500, BoundaryArc(math.pi / 2)))
     large = set(accessible_boundary_edges(mesh500, BoundaryArc(1.5 * math.pi)))

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from aet2d.fem import (
     GramSolver,
@@ -16,7 +15,7 @@ from aet2d.inversion import ReconstructionConfig, add_noise, run_landweber
 from aet2d.mesh import generate_disk_mesh
 from aet2d.phantom import default_phantom, phantom_field
 from aet2d.sensitivity import adjoint_apply, derivative_apply
-from reference import linearized_potential
+from reference import in_order_scatter, linearized_potential
 
 SPECS = {
     "L2": InnerProductSpec.l2(),
@@ -241,17 +240,8 @@ class ReferenceKernels:
         )
 
     def stiffness(self, sigma_values):
-        t = self.mesh.triangles
         local = self.average(sigma_values)[:, None, None] * self.mesh.local_stiffness
-        v = self.mesh.num_vertices
-        return sparse.coo_matrix(
-            (
-                local.ravel(),
-                (np.broadcast_to(t[:, :, None], local.shape).ravel(),
-                 np.broadcast_to(t[:, None, :], local.shape).ravel()),
-            ),
-            shape=(v, v),
-        ).tocsr()
+        return in_order_scatter(self.mesh, local)
 
     def forward(self, sigma, ms):
         solver = ZeroMeanSolver(self.stiffness(sigma.values), self.mesh)
